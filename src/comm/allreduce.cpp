@@ -1,30 +1,12 @@
 #include "comm/allreduce.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <iterator>
 #include <limits>
 #include <map>
 
 #include "common/check.hpp"
 
 namespace comm {
-
-namespace {
-
-/// Chunk c of a `count`-float bucket split N ways: [lo, hi).
-std::pair<std::size_t, std::size_t> chunk_range(std::size_t count, int n,
-                                                int c) {
-  const auto lo = static_cast<std::size_t>(
-      static_cast<std::uint64_t>(count) * static_cast<std::uint64_t>(c) /
-      static_cast<std::uint64_t>(n));
-  const auto hi = static_cast<std::size_t>(
-      static_cast<std::uint64_t>(count) * static_cast<std::uint64_t>(c + 1) /
-      static_cast<std::uint64_t>(n));
-  return {lo, hi};
-}
-
-}  // namespace
 
 BucketPlan plan_buckets(const mc::Net& net, std::size_t bucket_bytes) {
   const auto& params = net.learnable_params();
@@ -91,27 +73,6 @@ gpusim::SimTime advance_until_event(gpusim::DeviceEngine& dev,
     GLP_CHECK_MSG(++spins < 1000000, "event co-sim loop is spinning");
   }
   return dev.event_time(ev);
-}
-
-void reference_ring_allreduce(const std::vector<float*>& grads,
-                              std::size_t count) {
-  const int n = static_cast<int>(grads.size());
-  GLP_REQUIRE(n >= 1, "reference_ring_allreduce needs at least one rank");
-  if (n == 1) return;
-  for (int c = 0; c < n; ++c) {
-    const auto [lo, hi] = chunk_range(count, n, c);
-    for (std::size_t k = lo; k < hi; ++k) {
-      // The ring's accumulation chain for chunk c: start at rank c, each
-      // successor adds its own term on the left (dst += staged is
-      // dst + acc with dst the new term) — replicated operation for
-      // operation so the sum is bit-identical to the fleet's.
-      float acc = grads[static_cast<std::size_t>(c)][k];
-      for (int s = 1; s < n; ++s) {
-        acc = grads[static_cast<std::size_t>((c + s) % n)][k] + acc;
-      }
-      for (int d = 0; d < n; ++d) grads[static_cast<std::size_t>(d)][k] = acc;
-    }
-  }
 }
 
 }  // namespace comm

@@ -1,16 +1,8 @@
 #pragma once
 // Gradient bucketing and shared fleet co-simulation helpers for the
-// collective engine (comm/collectives.hpp), plus the classic ring
-// all-reduce host oracle.
-//
-// reference_ring_allreduce replays the two-phase ring's accumulation
-// chains on the host: chunk c's value is the single chain
-// f[c] → +f[c+1] → ... → +f[c+N-1] (indices mod N, fixed association),
-// finished on device (c+N-1)%N and then copied verbatim. It is
-// bit-identical to replaying the ring wave program with
-// reference_collective_allreduce (dst += staged applies the new term on
-// the left, exactly as the chain does) and is kept as the direct,
-// program-free spelling of the PR-9 determinism contract.
+// collective engine (comm/collectives.hpp). The host oracle for every
+// collective algorithm is reference_collective_allreduce, which replays
+// the selected wave program.
 
 #include <cstddef>
 #include <memory>
@@ -52,12 +44,5 @@ BucketPlan plan_buckets(const mc::Net& net, std::size_t bucket_bytes);
 /// dispatch thread blocking.
 gpusim::SimTime advance_until_event(gpusim::DeviceEngine& dev,
                                     gpusim::EventId ev);
-
-/// Host replica of the classic fleet reduction: applies the exact
-/// per-chunk accumulation chains the ring wave program produces to N
-/// gradient arrays of `count` floats, leaving every array holding the
-/// (unscaled) ring sum.
-void reference_ring_allreduce(const std::vector<float*>& grads,
-                              std::size_t count);
 
 }  // namespace comm

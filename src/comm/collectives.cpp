@@ -498,26 +498,6 @@ void reference_collective_allreduce(const CollectiveProgram& program,
   }
 }
 
-void reference_tree_allreduce(const std::vector<float*>& grads,
-                              std::size_t count) {
-  const int n = static_cast<int>(grads.size());
-  GLP_REQUIRE(n >= 1, "reference_tree_allreduce needs at least one rank");
-  if (n == 1) return;
-  const CollectiveProgram prog =
-      build_collective_program(CollectiveAlgo::kTree, n, count);
-  reference_collective_allreduce(prog, grads, count, WireFormat::kFp32);
-}
-
-void reference_hier_allreduce(const std::vector<float*>& grads,
-                              std::size_t count) {
-  const int n = static_cast<int>(grads.size());
-  GLP_REQUIRE(CollectiveCostModel::hier_group(n) > 0,
-              "reference_hier_allreduce needs composite n >= 4");
-  const CollectiveProgram prog =
-      build_collective_program(CollectiveAlgo::kHier, n, count);
-  reference_collective_allreduce(prog, grads, count, WireFormat::kFp32);
-}
-
 CollectiveEngine::CollectiveEngine(scuda::Fleet& fleet,
                                    CollectiveOptions options)
     : fleet_(&fleet), options_(options) {

@@ -171,13 +171,6 @@ void reference_collective_allreduce(const CollectiveProgram& program,
                                     const std::vector<float*>& grads,
                                     std::size_t count, WireFormat wire);
 
-/// Convenience oracles mirroring reference_ring_allreduce for the other
-/// algorithms (fp32 wire, un-pipelined).
-void reference_tree_allreduce(const std::vector<float*>& grads,
-                              std::size_t count);
-void reference_hier_allreduce(const std::vector<float*>& grads,
-                              std::size_t count);
-
 /// Scheduled executor: runs any collective program over the fleet.
 class CollectiveEngine {
  public:

@@ -205,9 +205,14 @@ void LinkModel::finalize_all() {
           }
         }
         now = t;
+        // On a large clock a remainder above kEpsBytes can still finish
+        // within one ulp of `now`; it must retire here too, or t stays at
+        // `now` and the loop makes no progress.
+        const double sharers = static_cast<double>(act.size());
         for (auto it = act.begin(); it != act.end();) {
           Pending& p = pending_[*it];
-          if (p.remaining <= kEpsBytes) {
+          if (p.remaining <= kEpsBytes ||
+              now + p.remaining * sharers / bandwidth <= now) {
             p.remaining = 0.0;
             p.rec.end_ns = now;
             end_ns_.emplace(p.rec.id, now);

@@ -10,8 +10,8 @@ namespace {
 
 /// Merged-launch functor: runs every staged functor in staging order —
 /// the same host ops on the same buffers in the same order as the
-/// unfused per-stream FIFO execution.
-struct LaneChainRunner {
+/// unmerged per-stream FIFO execution.
+struct ChainRunner {
   std::vector<gpusim::DeviceEngine::WorkFn> fns;
   void operator()() {
     for (auto& fn : fns) {
@@ -22,32 +22,16 @@ struct LaneChainRunner {
 
 }  // namespace
 
-void CoalescingDispatcher::begin_scope(const std::string& scope,
-                                       std::size_t num_tasks) {
-  inner_->begin_scope(scope, num_tasks);
-  GLP_CHECK(!coalescer_.armed && coalescer_.groups.empty());
-  scope_ = scope;
-  // Ask *after* the inner begin_scope: the scheduler only knows whether
-  // this run profiles or runs steady once the scope is open.
-  coalescer_.armed = inner_->scope_coalescable();
-}
-
-void CoalescingDispatcher::flush() {
-  gpusim::DeviceEngine& dev = ctx_->device();
-  for (LaneCoalescer::Group& g : coalescer_.groups) {
+void Stager::flush(scuda::Context& ctx, const std::string& stem) {
+  gpusim::DeviceEngine& dev = ctx.device();
+  for (Group& g : groups) {
     GLP_CHECK(!g.staged.empty());
-    // Same degraded-launch semantics as kern::Launcher: a failed merged
-    // launch re-issues on the legacy default stream (a two-sided
-    // barrier), preserving global submission order.
-    const gpusim::StreamId target = ctx_->faults().should_fail_launch()
-                                        ? gpusim::kDefaultStream
-                                        : g.stream;
+    const gpusim::StreamId target =
+        ctx.faults().should_fail_launch() ? gpusim::kDefaultStream : g.stream;
     if (g.staged.size() == 1) {
-      FusionStager::Staged& s = g.staged.front();
+      Staged& s = g.staged.front();
       dev.launch_kernel(target, std::move(s.name), s.config, s.cost,
                         std::move(s.work));
-      ++merged_launches_;
-      ++coalesced_kernels_;
       continue;
     }
     gpusim::LaunchConfig cfg;
@@ -56,7 +40,7 @@ void CoalescingDispatcher::flush() {
     std::vector<gpusim::DeviceEngine::WorkFn> fns;
     fns.reserve(g.staged.size());
     bool any_work = false;
-    for (FusionStager::Staged& s : g.staged) {
+    for (Staged& s : g.staged) {
       cfg.grid.x = std::max(cfg.grid.x, s.config.grid.x);
       cfg.grid.y = std::max(cfg.grid.y, s.config.grid.y);
       cfg.grid.z = std::max(cfg.grid.z, s.config.grid.z);
@@ -74,23 +58,29 @@ void CoalescingDispatcher::flush() {
       any_work = any_work || static_cast<bool>(s.work);
       fns.push_back(std::move(s.work));
     }
-    const std::string name =
-        scope_ + "/coalesced" + std::to_string(g.staged.size());
     dev.launch_kernel(
-        target, name, cfg, cost,
-        any_work ? gpusim::DeviceEngine::WorkFn(LaneChainRunner{std::move(fns)})
+        target, stem + std::to_string(g.staged.size()), cfg, cost,
+        any_work ? gpusim::DeviceEngine::WorkFn(ChainRunner{std::move(fns)})
                  : gpusim::DeviceEngine::WorkFn());
-    ++merged_launches_;
-    coalesced_kernels_ += g.staged.size();
   }
-  coalescer_.groups.clear();
+  groups.clear();
+}
+
+void CoalescingDispatcher::begin_scope(const std::string& scope,
+                                       std::size_t num_tasks) {
+  inner_->begin_scope(scope, num_tasks);
+  GLP_CHECK(!stager_.armed && stager_.groups.empty());
+  scope_ = scope;
+  // Ask *after* the inner begin_scope: the scheduler only knows whether
+  // this run profiles or runs steady once the scope is open.
+  stager_.armed = inner_->scope_coalescable();
 }
 
 void CoalescingDispatcher::end_scope() {
-  coalescer_.armed = false;
+  stager_.armed = false;
   // Flush before the inner end_scope so the scope's join barrier (events
   // recorded on every pool stream) covers the merged launches.
-  flush();
+  stager_.flush(*ctx_, scope_ + "/coalesced");
   inner_->end_scope();
 }
 

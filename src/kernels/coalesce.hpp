@@ -41,14 +41,9 @@ class CoalescingDispatcher final : public KernelDispatcher {
   CoalescingDispatcher(scuda::Context& ctx, KernelDispatcher& inner)
       : ctx_(&ctx), inner_(&inner) {}
 
-  /// The staging buffer to install as ExecContext::coalescer. Armed and
+  /// The staging buffer to install as ExecContext::stager. Armed and
   /// disarmed by begin_scope/end_scope.
-  LaneCoalescer& coalescer() { return coalescer_; }
-
-  /// Merged launches submitted so far (for tests/introspection).
-  std::uint64_t merged_launches() const { return merged_launches_; }
-  /// Kernels absorbed into merged launches so far.
-  std::uint64_t coalesced_kernels() const { return coalesced_kernels_; }
+  Stager& stager() { return stager_; }
 
   void begin_scope(const std::string& scope, std::size_t num_tasks) override;
   Lane task_lane(std::size_t index) override { return inner_->task_lane(index); }
@@ -67,14 +62,10 @@ class CoalescingDispatcher final : public KernelDispatcher {
   void clear_dag_op() override { inner_->clear_dag_op(); }
 
  private:
-  void flush();
-
   scuda::Context* ctx_;
   KernelDispatcher* inner_;
-  LaneCoalescer coalescer_;
+  Stager stager_;
   std::string scope_;
-  std::uint64_t merged_launches_ = 0;
-  std::uint64_t coalesced_kernels_ = 0;
 };
 
 }  // namespace kern

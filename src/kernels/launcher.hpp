@@ -8,49 +8,42 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "kernels/dispatch.hpp"
 #include "simcuda/context.hpp"
 
 namespace kern {
 
-/// Staging buffer for transparent launch coalescing (the DAG scheduler's
-/// elementwise-chain fusion pass). While armed on a Launcher, launch()
-/// *stages* each kernel instead of submitting it; the owner then merges
-/// the staged entries into one combined launch whose functor runs every
-/// staged functor in order. Running the same functors in the same order
-/// on the same buffers is bit-identical to the unfused FIFO execution —
-/// only the number of simulated launches (and their overhead) changes.
-struct FusionStager {
+/// Staging buffer for launch merging. While armed on a Launcher,
+/// launch() *stages* each kernel under its target stream instead of
+/// submitting it; the owner then calls flush(), which submits ONE
+/// combined launch per stream whose functor runs that stream's staged
+/// functors in order. Running the same functors in the same per-stream
+/// order on the same buffers is bit-identical to the unmerged FIFO
+/// execution — only the number of simulated launches (and the serial
+/// host overhead each one charges) changes. Two owners arm it:
+///  * the DAG scheduler's elementwise-chain fusion pass (a chain issues
+///    on its head op's stream, so it forms one group);
+///  * kern::CoalescingDispatcher inside a steady parallel scope (one
+///    group per lane stream).
+struct Stager {
   struct Staged {
     std::string name;
     gpusim::LaunchConfig config;
     gpusim::KernelCost cost;
     gpusim::DeviceEngine::WorkFn work;
   };
-  bool armed = false;
-  std::vector<Staged> staged;
-};
-
-/// Per-stream staging buffer for *lane coalescing* inside a parallel
-/// scope (see kern::CoalescingDispatcher). While armed, launch() stages
-/// each kernel under its target stream instead of submitting it; at
-/// end_scope the owner merges every stream's staged kernels into one
-/// combined launch per stream. Each lane's per-sample chain runs the
-/// same host functors in the same per-stream order as the unfused
-/// execution, so outputs are bit-identical — only the number of
-/// simulated launches (and the serial host overhead each one charges)
-/// changes. Groups keep first-use order so the flush submits streams in
-/// the order the scope first touched them.
-struct LaneCoalescer {
   struct Group {
     gpusim::StreamId stream = gpusim::kDefaultStream;
-    std::vector<FusionStager::Staged> staged;
+    std::vector<Staged> staged;
   };
   bool armed = false;
+  /// Kept in first-use order: flush submits streams in the order the
+  /// staging window first touched them.
   std::vector<Group> groups;
 
-  void stage(gpusim::StreamId stream, FusionStager::Staged s) {
+  void stage(gpusim::StreamId stream, Staged s) {
     for (Group& g : groups) {
       if (g.stream == stream) {
         g.staged.push_back(std::move(s));
@@ -60,6 +53,14 @@ struct LaneCoalescer {
     groups.push_back(Group{stream, {}});
     groups.back().staged.push_back(std::move(s));
   }
+
+  /// Submit every group as one launch on its stream and empty the
+  /// buffer. A lone staged kernel keeps its own name; a merged launch is
+  /// named `<stem><count>`, takes the per-field max config and the summed
+  /// cost. Each launch draws should_fail_launch() once and, like
+  /// Launcher::launch, re-issues on the legacy default stream when it
+  /// fails (a two-sided barrier, so submission order is preserved).
+  void flush(scuda::Context& ctx, const std::string& stem);
 };
 
 struct Launcher {
@@ -67,13 +68,9 @@ struct Launcher {
   gpusim::StreamId stream = gpusim::kDefaultStream;
   ComputeMode mode = ComputeMode::kNumeric;
   std::string name_prefix;
-  /// When set and armed, launches are staged for coalescing instead of
-  /// being submitted (see FusionStager).
-  FusionStager* fuser = nullptr;
-  /// When set and armed (inside a coalescable scope), launches are staged
-  /// per target stream and merged at end_scope (see LaneCoalescer).
-  /// Checked after `fuser` — DAG elementwise fusion takes precedence.
-  LaneCoalescer* coalescer = nullptr;
+  /// When set and armed, launches are staged per target stream instead
+  /// of being submitted (see Stager).
+  Stager* stager = nullptr;
 
   Launcher with_stream(gpusim::StreamId s) const {
     Launcher l = *this;
@@ -101,19 +98,11 @@ struct Launcher {
                        gpusim::DeviceEngine::WorkFn work) const {
     const std::string full =
         name_prefix.empty() ? kernel_name : name_prefix + "/" + kernel_name;
-    if (fuser != nullptr && fuser->armed) {
-      fuser->staged.push_back(
-          {full, config, cost,
-           mode == ComputeMode::kNumeric ? std::move(work)
-                                         : gpusim::DeviceEngine::WorkFn()});
-      return 0;  // no correlation id — the merged launch gets one
-    }
-    if (coalescer != nullptr && coalescer->armed) {
-      coalescer->stage(
-          stream, {full, config, cost,
-                   mode == ComputeMode::kNumeric
-                       ? std::move(work)
-                       : gpusim::DeviceEngine::WorkFn()});
+    if (stager != nullptr && stager->armed) {
+      stager->stage(stream, {full, config, cost,
+                             mode == ComputeMode::kNumeric
+                                 ? std::move(work)
+                                 : gpusim::DeviceEngine::WorkFn()});
       return 0;  // no correlation id — the merged launch gets one
     }
     const gpusim::StreamId target =

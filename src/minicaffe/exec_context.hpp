@@ -43,13 +43,11 @@ struct ExecContext {
   /// runs of single-launch elementwise layers into one launch. Only read
   /// when dag_schedule is set.
   bool dag_fusion = true;
-  /// Armed by the NetDag fusion pass around a coalesced elementwise chain
-  /// (see kern::FusionStager). Layers stay oblivious.
-  kern::FusionStager* fuser = nullptr;
-  /// Armed by a kern::CoalescingDispatcher inside coalescable scopes:
-  /// per-lane kernel chains are staged per stream and merged into one
-  /// launch per stream at end_scope. Layers stay oblivious.
-  kern::LaneCoalescer* coalescer = nullptr;
+  /// Launch staging (see kern::Stager), armed by the NetDag fusion pass
+  /// around a coalesced elementwise chain, or by a
+  /// kern::CoalescingDispatcher inside coalescable scopes. Layers stay
+  /// oblivious.
+  kern::Stager* stager = nullptr;
   /// Producer layers whose GEMM absorbs the following in-place ReLU
   /// (layer name → the ReLU's negative_slope). Owned by the NetDag.
   const std::map<std::string, float>* fused_relu_epilogues = nullptr;
@@ -70,8 +68,7 @@ struct ExecContext {
     l.ctx = ctx;
     l.stream = stream;
     l.mode = mode;
-    l.fuser = fuser;
-    l.coalescer = coalescer;
+    l.stager = stager;
     return l;
   }
 

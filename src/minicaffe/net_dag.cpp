@@ -32,66 +32,6 @@ std::string scope_of(const std::string& type, const std::string& name,
   return "";
 }
 
-/// Merged launch for a coalesced elementwise chain: config is the
-/// per-field max over the staged launches, cost the sum, and the functor
-/// runs every staged functor in staging order — the same host ops on the
-/// same buffers in the same order as the unfused FIFO execution.
-struct ChainRunner {
-  std::vector<gpusim::DeviceEngine::WorkFn> fns;
-  void operator()() {
-    for (auto& fn : fns) {
-      if (fn) fn();
-    }
-  }
-};
-
-void submit_fused_chain(ExecContext& ec, const NetDag::Op& head,
-                        std::vector<kern::FusionStager::Staged> staged) {
-  if (staged.empty()) return;
-  auto target_stream = [&]() {
-    // Same degraded-launch semantics as kern::Launcher: a failed launch
-    // re-issues on the legacy default stream (a two-sided barrier), which
-    // preserves global submission order.
-    return ec.ctx->faults().should_fail_launch() ? gpusim::kDefaultStream
-                                                 : head.stream;
-  };
-  if (staged.size() == 1) {
-    kern::FusionStager::Staged& s = staged.front();
-    ec.ctx->device().launch_kernel(target_stream(), std::move(s.name), s.config,
-                                   s.cost, std::move(s.work));
-    return;
-  }
-  gpusim::LaunchConfig cfg;
-  gpusim::KernelCost cost;
-  cfg.regs_per_thread = 0;
-  std::vector<gpusim::DeviceEngine::WorkFn> fns;
-  fns.reserve(staged.size());
-  bool any_work = false;
-  for (kern::FusionStager::Staged& s : staged) {
-    cfg.grid.x = std::max(cfg.grid.x, s.config.grid.x);
-    cfg.grid.y = std::max(cfg.grid.y, s.config.grid.y);
-    cfg.grid.z = std::max(cfg.grid.z, s.config.grid.z);
-    cfg.block.x = std::max(cfg.block.x, s.config.block.x);
-    cfg.block.y = std::max(cfg.block.y, s.config.block.y);
-    cfg.block.z = std::max(cfg.block.z, s.config.block.z);
-    cfg.regs_per_thread = std::max(cfg.regs_per_thread, s.config.regs_per_thread);
-    cfg.smem_static_bytes =
-        std::max(cfg.smem_static_bytes, s.config.smem_static_bytes);
-    cfg.smem_dynamic_bytes =
-        std::max(cfg.smem_dynamic_bytes, s.config.smem_dynamic_bytes);
-    cost.flops += s.cost.flops;
-    cost.bytes += s.cost.bytes;
-    any_work = any_work || static_cast<bool>(s.work);
-    fns.push_back(std::move(s.work));
-  }
-  const std::string name =
-      head.prefix + "/fused_chain" + std::to_string(staged.size());
-  ec.ctx->device().launch_kernel(
-      target_stream(), name, cfg, cost,
-      any_work ? gpusim::DeviceEngine::WorkFn(ChainRunner{std::move(fns)})
-               : gpusim::DeviceEngine::WorkFn());
-}
-
 }  // namespace
 
 NetDag::NetDag(Net& net) : net_(&net) { build_pass(fwd_, false); }
@@ -318,7 +258,7 @@ void NetDag::run_pass(Pass& pass) {
 
   const gpusim::StreamId saved_home = ec.home_stream;
   const std::map<std::string, float>* saved_epilogues = ec.fused_relu_epilogues;
-  kern::FusionStager* saved_fuser = ec.fuser;
+  kern::Stager* saved_stager = ec.stager;
   if (!pass.is_backward) ec.fused_relu_epilogues = &relu_epilogues_;
 
   auto issue = [&](int i) {
@@ -351,12 +291,12 @@ void NetDag::run_pass(Pass& pass) {
           {op.stream, op.slot, op.num_slots, op.concurrent_scopes});
     }
     if (op.fused_head == i) {
-      kern::FusionStager stager;
+      kern::Stager stager;
       stager.armed = true;
-      ec.fuser = &stager;
+      ec.stager = &stager;
       for (int m = i; m < n && ops[m].fused_head == i; ++m) issue(m);
-      ec.fuser = saved_fuser;
-      submit_fused_chain(ec, op, std::move(stager.staged));
+      ec.stager = saved_stager;
+      stager.flush(*ec.ctx, op.prefix + "/fused_chain");
     } else {
       issue(i);
     }
@@ -367,7 +307,7 @@ void NetDag::run_pass(Pass& pass) {
 
   ec.home_stream = saved_home;
   ec.fused_relu_epilogues = saved_epilogues;
-  ec.fuser = saved_fuser;
+  ec.stager = saved_stager;
 }
 
 void NetDag::forward() { run_pass(fwd_); }

@@ -22,7 +22,7 @@
 //    an epilogue; the ReLU op itself is skipped).
 //  * Chain coalescing: a run of consecutive single-launch elementwise
 //    ops, each depending only on its predecessor, is staged through a
-//    kern::FusionStager and submitted as ONE merged launch whose functor
+//    kern::Stager and submitted as ONE merged launch whose functor
 //    runs the staged functors in order.
 
 #include <map>

@@ -58,8 +58,15 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
   // slot on the legacy default stream — that IS the baseline's bottleneck.
   homes_.reserve(static_cast<std::size_t>(opts_.slots));
   for (int s = 0; s < opts_.slots; ++s) {
-    homes_.push_back(opts_.use_scheduler ? scuda::Stream::create(*ctx_)
-                                         : scuda::Stream(*ctx_));
+    homes_.emplace_back(*ctx_);
+    if (!opts_.use_scheduler) continue;
+    try {
+      homes_.back() = scuda::Stream::create(*ctx_);
+    } catch (const scuda::StreamCreateFailed&) {
+      // Injected fault: this slot keeps the default stream. Its batches
+      // then serialize with everything else — timing degrades, outputs
+      // are identical.
+    }
   }
   slot_busy_.assign(static_cast<std::size_t>(opts_.slots), false);
 

@@ -44,7 +44,7 @@ InferenceSession::Replica& InferenceSession::build_replica(int batch) {
     r->coalescing =
         std::make_unique<kern::CoalescingDispatcher>(*ctx_, *dispatcher_);
     r->ec->dispatcher = r->coalescing.get();
-    r->ec->coalescer = &r->coalescing->coalescer();
+    r->ec->stager = &r->coalescing->stager();
   }
   r->ec->mode = opts_.mode;
   r->ec->train = false;

@@ -1,9 +1,11 @@
 #include "testing/net_generator.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "testing/differential.hpp"
 
 namespace glpfuzz {
 
@@ -487,6 +489,100 @@ FuzzCase make_case(std::uint64_t seed, const NetGenOptions& options) {
   c.options = random_scheduler_options(rng);
   c.iters = chance(rng, 0.7) ? 2 : 3;
   return c;
+}
+
+mc::NetSpec strip_dropout(const mc::NetSpec& spec) {
+  mc::NetSpec out;
+  out.name = spec.name;
+  // top name → what it resolves to once its producer is dropped.
+  std::map<std::string, std::string> alias;
+  auto resolve = [&](const std::string& name) {
+    auto it = alias.find(name);
+    return it == alias.end() ? name : it->second;
+  };
+  for (const mc::LayerSpec& l : spec.layers) {
+    if (l.type == "Dropout") {
+      // In-place dropout (top == bottom) vanishes without a trace; the
+      // out-of-place form forwards its bottom under the top's name.
+      if (!l.tops.empty() && !l.bottoms.empty() &&
+          l.tops.front() != l.bottoms.front()) {
+        alias[l.tops.front()] = resolve(l.bottoms.front());
+      }
+      continue;
+    }
+    mc::LayerSpec kept = l;
+    for (std::string& b : kept.bottoms) b = resolve(b);
+    out.layers.push_back(std::move(kept));
+  }
+  return out;
+}
+
+FuzzCase make_fleet_case(std::uint64_t seed, const NetGenOptions& gen) {
+  FuzzCase c = make_case(seed, gen);
+  c.net = strip_dropout(c.net);
+  if (!bit_exact_contract(c.net, c.options)) {
+    // The fleet contract is bit-exactness; force the regime that makes
+    // per-device numerics independent of the stream layout.
+    c.options.strict_repro = true;
+    c.options.policy = glp4nn::DispatchPolicy::kRoundRobin;
+  }
+  return c;
+}
+
+ServeCase make_serving_case(std::uint64_t seed, const NetGenOptions& options) {
+  // Decorrelate nearby seeds, and keep this stream independent from the
+  // training fuzzer's by a different additive constant.
+  glp::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x5e91feULL);
+  ServeCase c;
+  c.seed = seed;
+
+  const int tenants = chance(rng, 0.4) ? 2 : 1;
+  for (int t = 0; t < tenants; ++t) {
+    mc::NetSpec net = random_inference_net(rng, options);
+    net.name = "serve_fuzz_" + std::to_string(seed) + "_t" + std::to_string(t);
+    c.nets.push_back(std::move(net));
+  }
+  c.device = random_device(rng);
+
+  c.batch.enabled = true;
+  c.batch.mode = chance(rng, 0.5) ? serving::BatchMode::kContinuous
+                                  : serving::BatchMode::kWindowed;
+  c.batch.max_batch = pick(rng, {2, 3, 4, 6, 8});
+  c.batch.max_delay_us = pick(rng, {200.0, 500.0, 1000.0, 2000.0});
+  c.coalesce = chance(rng, 0.5);
+  c.slots = pick(rng, {1, 2, 4});
+
+  c.trace.requests = 16 + static_cast<int>(rng.next_below(33));  // 16..48
+  c.trace.rate_rps = pick(rng, {1000.0, 3000.0, 8000.0, 20000.0});
+  c.trace.arrival = pick(rng, {serving::ArrivalProcess::kPoisson,
+                               serving::ArrivalProcess::kBursty,
+                               serving::ArrivalProcess::kUniform,
+                               serving::ArrivalProcess::kDiurnal,
+                               serving::ArrivalProcess::kFlashCrowd,
+                               serving::ArrivalProcess::kHeavyTail,
+                               serving::ArrivalProcess::kAdversarial});
+  c.trace.tenants = tenants;
+  c.trace.deadline_ms = 0.0;  // the contract compares *served* outputs
+  c.trace.seed = seed ^ 0xbadc0ffeULL;
+  c.trace.fill_inputs = true;
+  return c;
+}
+
+std::string ServeCase::summary() const {
+  std::ostringstream os;
+  os << "seed=" << seed << " tenants=" << nets.size() << " (";
+  for (std::size_t t = 0; t < nets.size(); ++t) {
+    os << (t ? "+" : "") << nets[t].layers.size();
+  }
+  os << " layers) batch<=" << batch.max_batch << "/"
+     << static_cast<int>(batch.max_delay_us) << "us "
+     << serving::batch_mode_name(batch.mode)
+     << (coalesce ? "+coalesce" : "") << " slots=" << slots
+     << " trace=" << trace.requests << "@"
+     << static_cast<int>(trace.rate_rps) << "rps/"
+     << serving::arrival_name(trace.arrival) << " device=" << device.name
+     << " (C=" << device.max_concurrent_kernels << ")";
+  return os.str();
 }
 
 std::string FuzzCase::summary() const {

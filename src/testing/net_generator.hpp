@@ -1,8 +1,9 @@
 #pragma once
 // Seeded generators for the schedule-correctness harness: random layer
-// graphs, random devices (perturbations of the paper's Table-3 GPUs) and
-// random scheduler configurations. Everything is a pure function of the
-// seed, so any failing fuzz case replays from one integer.
+// graphs, random devices (perturbations of the paper's Table-3 GPUs),
+// random scheduler configurations, and the training, fleet and serving
+// cases built from them. Everything is a pure function of the seed, so
+// any failing fuzz case replays from one integer.
 //
 // Generated nets always contain at least one Convolution layer — conv
 // and deconv are the scope-parallel layers, so a net without them never
@@ -10,11 +11,14 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/runtime_scheduler.hpp"
 #include "gpusim/device_props.hpp"
 #include "minicaffe/net.hpp"
+#include "serving/batcher.hpp"
+#include "serving/trace_gen.hpp"
 
 namespace glpfuzz {
 
@@ -80,5 +84,36 @@ struct FuzzCase {
 
 /// Sample a complete case from a seed (net, device, scheduler options).
 FuzzCase make_case(std::uint64_t seed, const NetGenOptions& options = {});
+
+/// `spec` without its Dropout layers: each one is removed and, for the
+/// non-in-place form, later references to its top are rewired to its
+/// bottom. Every other layer is untouched.
+mc::NetSpec strip_dropout(const mc::NetSpec& spec);
+
+/// A fuzz case adjusted for the fleet corpus: Dropout stripped (masks are
+/// drawn from each replica's private RNG, so replicas and the single-
+/// device oracle would diverge) and scheduler options forced into the
+/// bit-exact regime (strict_repro + round-robin) when the sampled batch
+/// size would otherwise leave it.
+FuzzCase make_fleet_case(std::uint64_t seed, const NetGenOptions& gen = {});
+
+/// One fully-sampled serving case.
+struct ServeCase {
+  std::uint64_t seed = 0;
+  std::vector<mc::NetSpec> nets;  ///< one tenant per net (1 or 2)
+  gpusim::DeviceProps device;
+  serving::BatchPolicy batch;  ///< subject-side batching policy (mode too)
+  bool coalesce = false;       ///< subject-side lane coalescing
+  int slots = 2;
+  serving::TraceSpec trace;
+
+  std::string summary() const;
+};
+
+/// Sample a complete serving case from a seed: random inference nets
+/// (see random_inference_net), a random device, a random batching policy
+/// and a short random open-loop trace.
+ServeCase make_serving_case(std::uint64_t seed,
+                            const NetGenOptions& options = {});
 
 }  // namespace glpfuzz

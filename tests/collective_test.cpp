@@ -17,7 +17,7 @@
 #include "gpusim/device_props.hpp"
 #include "gpusim/trace_export.hpp"
 #include "simcuda/fleet.hpp"
-#include "testing/fleet_differential.hpp"
+#include "testing/differential.hpp"
 #include "testing/race_checker.hpp"
 
 namespace {
@@ -344,22 +344,23 @@ TEST(Fp16Wire, LossTrajectoryStaysWithinTolerance) {
   // The fp16 convergence contract: same fleet case trained with fp32 and
   // fp16 wire formats stays on essentially the same loss trajectory.
   // Each run is independently validated bit-exact against its own wire
-  // format's oracle by run_fleet_differential.
+  // format's oracle by the fleet differential.
   const glpfuzz::FuzzCase c = glpfuzz::make_fleet_case(11);
-  glpfuzz::FleetDiffOptions fp32_opts;
+  glpfuzz::DiffOptions fp32_opts;
+  fp32_opts.scenario = glpfuzz::Scenario::kFleet;
   fp32_opts.devices = 4;
   fp32_opts.topology = LinkTopology::kPcieHost;
-  glpfuzz::FleetDiffOptions fp16_opts = fp32_opts;
+  glpfuzz::DiffOptions fp16_opts = fp32_opts;
   fp16_opts.collective.wire = WireFormat::kFp16;
 
-  const glpfuzz::FleetDiffResult a = glpfuzz::run_fleet_differential(c, fp32_opts);
-  const glpfuzz::FleetDiffResult b = glpfuzz::run_fleet_differential(c, fp16_opts);
+  const glpfuzz::DiffResult a = glpfuzz::run_differential(c, fp32_opts);
+  const glpfuzz::DiffResult b = glpfuzz::run_differential(c, fp16_opts);
   ASSERT_TRUE(a.ok) << a.failure;
   ASSERT_TRUE(b.ok) << b.failure;
-  ASSERT_EQ(a.fleet_losses.size(), b.fleet_losses.size());
-  ASSERT_FALSE(a.fleet_losses.empty());
-  for (std::size_t i = 0; i < a.fleet_losses.size(); ++i) {
-    const float fa = a.fleet_losses[i], fb = b.fleet_losses[i];
+  ASSERT_EQ(a.losses.size(), b.losses.size());
+  ASSERT_FALSE(a.losses.empty());
+  for (std::size_t i = 0; i < a.losses.size(); ++i) {
+    const float fa = a.losses[i], fb = b.losses[i];
     EXPECT_LE(std::abs(fa - fb), 0.05f * std::max(1.0f, std::abs(fa)))
         << "iteration " << i << ": fp32 " << fa << " vs fp16 " << fb;
   }

@@ -18,7 +18,7 @@
 #include "minicaffe/models.hpp"
 #include "minicaffe/net_dag.hpp"
 #include "test_helpers.hpp"
-#include "testing/differential_runner.hpp"
+#include "testing/differential.hpp"
 #include "testing/net_generator.hpp"
 #include "testing/race_checker.hpp"
 
@@ -254,11 +254,12 @@ TEST(DagSchedule, InceptionBranchesOverlapOnAConcurrentDevice) {
 
 TEST(DagSchedule, DagDifferentialPassesOnSampledCorpus) {
   glpfuzz::DiffOptions diff;
+  diff.scenario = glpfuzz::Scenario::kDag;
   diff.faults.launch_failure_rate = 0.05;  // exercise fault reroutes too
   for (std::uint64_t seed = 21; seed <= 24; ++seed) {
     GLP_SCOPED_SEED(seed);
-    const glpfuzz::DagDiffResult r =
-        glpfuzz::run_dag_differential(dag_case(seed), diff);
+    const glpfuzz::DiffResult r =
+        glpfuzz::run_differential(dag_case(seed), diff);
     EXPECT_TRUE(r.ok) << r.failure;
     EXPECT_TRUE(r.forward_schedule.clean()) << r.forward_schedule.to_string();
     EXPECT_TRUE(r.backward_schedule.clean()) << r.backward_schedule.to_string();

@@ -12,32 +12,38 @@
 
 #include "gpusim/engine.hpp"
 #include "gpusim/timeline.hpp"
-#include "testing/differential_runner.hpp"
+#include "testing/differential.hpp"
 #include "testing/net_generator.hpp"
-#include "testing/serving_differential.hpp"
 
 namespace {
 
 using gpusim::EngineKind;
+
+glpfuzz::DiffOptions engine_contract() {
+  glpfuzz::DiffOptions opts;
+  opts.contract = glpfuzz::Contract::kEngine;
+  return opts;
+}
 
 // --- full-stack differentials -----------------------------------------------
 
 TEST(EngineEquivalence, FuzzCorpusSubsetBitExact) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const glpfuzz::FuzzCase c = glpfuzz::make_case(seed, {});
-    const glpfuzz::EngineDiffResult r = glpfuzz::run_engine_differential(c);
+    const glpfuzz::DiffResult r =
+        glpfuzz::run_differential(c, engine_contract());
     EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.failure;
     EXPECT_GT(r.kernels_compared, 0u) << "seed " << seed;
   }
 }
 
 TEST(EngineEquivalence, FaultedCasesBitExact) {
-  glpfuzz::DiffOptions opts;
+  glpfuzz::DiffOptions opts = engine_contract();
   opts.faults.launch_failure_rate = 0.05;
   opts.faults.stream_create_failure_rate = 0.02;
   for (std::uint64_t seed = 40; seed <= 45; ++seed) {
     const glpfuzz::FuzzCase c = glpfuzz::make_case(seed, {});
-    const glpfuzz::EngineDiffResult r = glpfuzz::run_engine_differential(c, opts);
+    const glpfuzz::DiffResult r = glpfuzz::run_differential(c, opts);
     EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.failure;
   }
 }
@@ -45,11 +51,29 @@ TEST(EngineEquivalence, FaultedCasesBitExact) {
 TEST(EngineEquivalence, ServingReplaysBitExact) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const glpfuzz::ServeCase c = glpfuzz::make_serving_case(seed);
-    const glpfuzz::ServeEngineDiffResult r =
-        glpfuzz::run_serving_engine_differential(c);
+    const glpfuzz::DiffResult r =
+        glpfuzz::run_differential(c, engine_contract());
     EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.failure;
     EXPECT_GT(r.kernels_compared, 0u) << "seed " << seed;
   }
+}
+
+TEST(EngineEquivalence, TimelinesDifferingOnlyInCopyPeerCompareUnequal) {
+  // A peer copy delivered to the wrong device must not pass as identical.
+  gpusim::Timeline a, b;
+  a.set_enabled(true);
+  b.set_enabled(true);
+  gpusim::CopyRecord copy;
+  copy.correlation_id = 7;
+  copy.bytes = 4096;
+  copy.start_ns = 100.0;
+  copy.end_ns = 200.0;
+  copy.peer = 1;
+  a.add_copy(copy);
+  copy.peer = 2;
+  b.add_copy(copy);
+  EXPECT_NE(glpfuzz::compare_timelines(a, b), "");
+  EXPECT_EQ(glpfuzz::compare_timelines(a, a), "");
 }
 
 // --- direct-API programs -----------------------------------------------------

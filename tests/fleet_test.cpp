@@ -23,7 +23,7 @@
 #include "serving/trace_gen.hpp"
 #include "simcuda/fleet.hpp"
 #include "test_helpers.hpp"
-#include "testing/fleet_differential.hpp"
+#include "testing/differential.hpp"
 #include "testing/race_checker.hpp"
 
 namespace {
@@ -108,6 +108,34 @@ TEST(LinkModel, SameNvlinkLinkQueuesFifo) {
   EXPECT_DOUBLE_EQ(recs[0].end_ns, 2000.0);
   EXPECT_DOUBLE_EQ(recs[1].start_ns, 2000.0);
   EXPECT_DOUBLE_EQ(recs[1].end_ns, 3000.0);
+}
+
+TEST(LinkModel, FinalizesOnLargeClock) {
+  // At 2^32 ns one ulp of the clock is ~1e-6 ns, so a remainder just
+  // above the byte tolerance finishes within an ulp of `now`. Such a
+  // transfer must still retire instead of stalling finalize_all.
+  for (const LinkTopology topology :
+       {LinkTopology::kPcieHost, LinkTopology::kNvlinkRing}) {
+    const LinkProps props = topology == LinkTopology::kPcieHost
+                                ? LinkProps::pcie()
+                                : LinkProps::nvlink();
+    LinkModel links(4, topology, props);
+    SimTime t = 4294967296.0;  // 2^32 ns
+    // Ring waves of odd-sized transfers, each wave requested when the
+    // previous one has landed.
+    for (int wave = 0; wave < 20; ++wave) {
+      for (int src = 0; src < 4; ++src) {
+        const auto k = static_cast<std::size_t>(wave * 4 + src);
+        links.begin(src, (src + 1) % 4, 4097 + 7919 * k, t);
+      }
+      links.finalize_all();
+      const auto recs = links.take_completed();
+      ASSERT_EQ(recs.size(), 4u);
+      const auto report = glpfuzz::check_fleet_transfers(recs, props);
+      EXPECT_TRUE(report.clean()) << report.to_string();
+      for (const TransferRecord& r : recs) t = std::max(t, r.end_ns);
+    }
+  }
 }
 
 // --- transfer race checker -------------------------------------------------
@@ -238,42 +266,49 @@ TEST(Fleet, SynchronizeAllDrainsEveryDevice) {
 
 // --- data-parallel training bit-exactness ----------------------------------
 
+glpfuzz::DiffOptions fleet_options(int devices) {
+  glpfuzz::DiffOptions opts;
+  opts.scenario = glpfuzz::Scenario::kFleet;
+  opts.devices = devices;
+  return opts;
+}
+
 TEST(FleetTraining, TwoDevicesBitExactOnBothEngines) {
   const std::uint64_t seed = glptest::test_seed(3);
   GLP_SCOPED_SEED(seed);
   const glpfuzz::FuzzCase c = glpfuzz::make_fleet_case(seed);
-  for (const auto kind :
-       {gpusim::EngineKind::kOptimized, gpusim::EngineKind::kReference}) {
-    glpfuzz::FleetDiffOptions opts;
-    opts.devices = 2;
-    opts.engine = kind;
-    const auto r = glpfuzz::run_fleet_differential(c, opts);
-    EXPECT_TRUE(r.ok) << r.failure;
-    EXPECT_GT(r.params_compared, 0u);
-    EXPECT_GT(r.transfers.transfers_checked, 0u);
-  }
+  glpfuzz::DiffOptions opts = fleet_options(2);
+  const auto r = glpfuzz::run_differential(c, opts);
+  EXPECT_TRUE(r.ok) << r.failure;
+  EXPECT_GT(r.values_compared, 0u);
+  EXPECT_GT(r.transfers.transfers_checked, 0u);
+  // Optimized vs ReferenceEngine: every device's numerics and timeline,
+  // peer copies included, event for event.
+  opts.contract = glpfuzz::Contract::kEngine;
+  const auto e = glpfuzz::run_differential(c, opts);
+  EXPECT_TRUE(e.ok) << e.failure;
+  EXPECT_GT(e.kernels_compared, 0u);
+  EXPECT_GT(e.copies_compared, 0u);
 }
 
 TEST(FleetTraining, FourDevicesOverPcieBitExact) {
   const std::uint64_t seed = glptest::test_seed(4);
   GLP_SCOPED_SEED(seed);
   const glpfuzz::FuzzCase c = glpfuzz::make_fleet_case(seed);
-  glpfuzz::FleetDiffOptions opts;
-  opts.devices = 4;
+  glpfuzz::DiffOptions opts = fleet_options(4);
   opts.topology = LinkTopology::kPcieHost;
-  const auto r = glpfuzz::run_fleet_differential(c, opts);
+  const auto r = glpfuzz::run_differential(c, opts);
   EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.buckets, 0u);
+  EXPECT_GT(r.transfers.transfers_checked, 0u);
 }
 
 TEST(FleetTraining, SerializeThenReduceBaselineAlsoBitExact) {
   const std::uint64_t seed = glptest::test_seed(5);
   GLP_SCOPED_SEED(seed);
   const glpfuzz::FuzzCase c = glpfuzz::make_fleet_case(seed);
-  glpfuzz::FleetDiffOptions opts;
-  opts.devices = 2;
+  glpfuzz::DiffOptions opts = fleet_options(2);
   opts.overlap = false;
-  const auto r = glpfuzz::run_fleet_differential(c, opts);
+  const auto r = glpfuzz::run_differential(c, opts);
   EXPECT_TRUE(r.ok) << r.failure;
 }
 
@@ -281,13 +316,12 @@ TEST(FleetTraining, BitExactUnderInjectedFaults) {
   const std::uint64_t seed = glptest::test_seed(8);
   GLP_SCOPED_SEED(seed);
   const glpfuzz::FuzzCase c = glpfuzz::make_fleet_case(seed);
-  glpfuzz::FleetDiffOptions opts;
-  opts.devices = 2;
+  glpfuzz::DiffOptions opts = fleet_options(2);
   opts.faults.launch_failure_rate = 0.05;
   opts.faults.stream_create_failure_rate = 0.05;
   opts.faults.capture_loss_rate = 0.05;
   opts.faults.seed = seed;
-  const auto r = glpfuzz::run_fleet_differential(c, opts);
+  const auto r = glpfuzz::run_differential(c, opts);
   EXPECT_TRUE(r.ok) << r.failure;
 }
 

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
-#include "testing/differential_runner.hpp"
+#include "testing/differential.hpp"
 #include "testing/net_generator.hpp"
 
 namespace {
@@ -27,7 +27,7 @@ TEST_P(FuzzCorpus, SerialAndScheduledTrainingAgree) {
   EXPECT_TRUE(r.races.clean()) << r.races.to_string();
   if (r.bit_exact_expected) {
     EXPECT_TRUE(r.bit_exact_observed)
-        << c.summary() << ": max param diff " << r.max_param_diff;
+        << c.summary() << ": max diff " << r.max_diff;
   }
 }
 

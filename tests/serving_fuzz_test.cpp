@@ -1,16 +1,17 @@
 // Fixed-seed serving-differential corpus: random inference nets, devices,
-// batching policies and open-loop traces through run_serving_differential
-// on every CI run. Extends the PR-1 convergence-invariance contract to
-// the serving path — the batched, tenant-sliced scheduled replay must be
+// batching policies and open-loop traces through the differential core
+// on every CI run. Extends the convergence-invariance contract to the
+// serving path — the batched, tenant-sliced scheduled replay must be
 // bit-identical to the serial batch-1 baseline, per-tenant FIFO, and
-// race-free. Failures print the seed; replay with
+// race-free, clean and under injected launch, stream and capture faults.
+// Failures print the seed; replay with
 //
 //   GLP_TEST_SEED=<seed> ./tests/serving_fuzz_test --gtest_filter='*EnvSeed*'
 
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
-#include "testing/serving_differential.hpp"
+#include "testing/differential.hpp"
 
 namespace {
 
@@ -20,11 +21,27 @@ TEST_P(ServingCorpus, ScheduledBatchedReplayMatchesSerialBatchOne) {
   const std::uint64_t seed = GetParam();
   GLP_SCOPED_SEED(seed);
   const glpfuzz::ServeCase c = glpfuzz::make_serving_case(seed);
-  const glpfuzz::ServeDiffResult r = glpfuzz::run_serving_differential(c);
+  const glpfuzz::DiffResult r = glpfuzz::run_differential(c);
   EXPECT_TRUE(r.ok) << c.summary() << "\n" << r.failure;
   EXPECT_TRUE(r.races.clean()) << r.races.to_string();
-  EXPECT_EQ(r.max_output_diff, 0.0) << c.summary();
-  EXPECT_EQ(r.served, r.requests);
+  EXPECT_EQ(r.max_diff, 0.0) << c.summary();
+  EXPECT_GT(r.values_compared, 0u) << c.summary();
+}
+
+TEST_P(ServingCorpus, SurvivesInjectedFaults) {
+  // A refused stream creation leaves that batch slot on the default
+  // stream; refused launches re-issue there; lost profiler records only
+  // shrink the analyzer's sample. None of it may change an output bit.
+  const std::uint64_t seed = GetParam();
+  GLP_SCOPED_SEED(seed);
+  const glpfuzz::ServeCase c = glpfuzz::make_serving_case(seed);
+  glpfuzz::DiffOptions opts;
+  opts.faults.launch_failure_rate = 0.05;
+  opts.faults.stream_create_failure_rate = 0.05;
+  opts.faults.capture_loss_rate = 0.05;
+  const glpfuzz::DiffResult r = glpfuzz::run_differential(c, opts);
+  EXPECT_TRUE(r.ok) << c.summary() << "\n" << r.failure;
+  EXPECT_EQ(r.max_diff, 0.0) << c.summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ServingCorpus,
@@ -37,7 +54,7 @@ TEST(ServingFuzz, EnvSeedOverrideReplaysOneCase) {
   const std::uint64_t seed = glptest::test_seed(5);
   GLP_SCOPED_SEED(seed);
   const glpfuzz::ServeCase c = glpfuzz::make_serving_case(seed);
-  const glpfuzz::ServeDiffResult r = glpfuzz::run_serving_differential(c);
+  const glpfuzz::DiffResult r = glpfuzz::run_differential(c);
   EXPECT_TRUE(r.ok) << c.summary() << "\n" << r.failure;
 }
 

@@ -1,10 +1,10 @@
 // glp4nn_fuzz — differential fuzzer for the GLP4NN runtime scheduler.
 //
 // Samples random (net, device, scheduler-options) cases from consecutive
-// seeds, trains each under serial dispatch and under the scheduler, and
-// checks the convergence-invariance contract plus the stream-ordering
-// invariants of the recorded timeline. Optionally arms fault injection
-// on the scheduler run to exercise graceful degradation.
+// seeds and runs each through the differential core (testing/
+// differential.hpp): the subject configuration against its baseline
+// under the selected contract, plus an audit of the subject's timeline.
+// Optionally arms fault injection to exercise graceful degradation.
 //
 //   glp4nn_fuzz --cases 200 --seed 1
 //   glp4nn_fuzz --cases 200 --seed 1 --fault-rate 0.05
@@ -19,60 +19,57 @@
 //   --stream-fault-rate <p>   injected stream-creation failure probability
 //   --capture-loss-rate <p>   injected profiler record-loss probability
 //   --max-batch <n>      cap generated batch sizes (default 64)
-//   --engine-compare     instead of serial-vs-scheduler, run each case on
-//                        the optimized engine AND ReferenceEngine and
-//                        require bit-identical losses, parameters and
-//                        device timelines (the hot-path equivalence gate)
+//   --engine-compare     engine contract: run the subject on the optimized
+//                        engine AND ReferenceEngine and require
+//                        bit-identical losses, parameters and device
+//                        timelines (the hot-path equivalence gate).
+//                        Without it, the subject is compared with its
+//                        scenario's baseline (serial dispatch; for
+//                        --fleet the sequential micro-batch oracle)
 //   --dag                sample the branchy DAG corpus (inception fan-outs,
-//                        diamond skips, fused elementwise chains) and run
-//                        the three-way DAG differential: DAG-vs-serial AND
-//                        DAG-vs-chain-only, plus an op-schedule replay of
-//                        one clean forward/backward pass. Combined with
-//                        --engine-compare, runs the engine-equivalence gate
-//                        with DAG scheduling enabled on both engines.
+//                        diamond skips, fused elementwise chains) and
+//                        train the subject under DAG scheduling: it must
+//                        match serial AND chain-only issue, and one clean
+//                        forward/backward pass is replayed against the
+//                        op DAG
 //   --fleet              fleet corpus (Dropout-stripped, bit-exact regime):
 //                        train each case on an N-device fleet (bucketed
-//                        ring all-reduce, eager overlap, per-device GLP4NN
-//                        schedulers) and on the single-device reference,
-//                        and require bit-identical losses and parameters
-//                        plus a clean link-contract audit of every
-//                        cross-device transfer
+//                        all-reduce, eager overlap, per-device GLP4NN
+//                        schedulers); every iteration's cross-device
+//                        transfers are audited against the link contract
 //   --fleet-devices <n>  fleet width (default 2)
 //   --links <kind>       fleet interconnect: nvlink (ring) or pcie
 //                        (shared host channel); default nvlink
-//   --fleet-engine <e>   engine the fleet devices run on: optimized
-//                        (default) or reference — the latter doubles as
-//                        a cross-engine differential over the fleet path
 //   --no-overlap         fleet: serialize-then-reduce baseline instead of
 //                        eager bucketed overlap
 //   --collective <c>     fleet all-reduce algorithm: auto (cost model,
 //                        default) | ring | tree | hier | sample (rotate
-//                        deterministically per case seed). The reference
-//                        oracle replays whichever program is selected, so
-//                        every algorithm is held to its own bit-exactness
+//                        deterministically per case seed). The oracle
+//                        replays whichever program is selected, so every
+//                        algorithm is held to its own bit-exactness
 //                        contract
 //   --fp16-wire          fleet: fp16 gradient compression on the wire
 //                        (still bit-identical to the fp16 oracle)
 //   --no-branches        linear nets only
-//   --no-timeline        skip timeline recording + race checking
-//   --trace <file>       Chrome trace of the last failing (or replayed)
-//                        case, with one marker per race violation
+//   --no-timeline        skip the subject audits (race checks, op-schedule
+//                        replay, link-contract audit)
+//   --trace <file>       Chrome trace of the subject of the last failing
+//                        (or replayed) case, with one marker per race
+//                        violation; a fleet writes one row per device
 //   --verbose            one summary line per case
 //
 // Exit code: 0 when every case passes, 1 otherwise.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <sstream>
 #include <string>
+#include <vector>
 
-#include "common/check.hpp"
 #include "common/cli.hpp"
-#include "core/glp4nn.hpp"
 #include "gpusim/trace_export.hpp"
-#include "minicaffe/solver.hpp"
-#include "testing/differential_runner.hpp"
-#include "testing/fleet_differential.hpp"
+#include "testing/differential.hpp"
 #include "testing/net_generator.hpp"
 
 namespace {
@@ -83,28 +80,67 @@ namespace {
   std::exit(2);
 }
 
-struct Stats {
-  int passed = 0;
-  int failed = 0;
-  int bit_exact = 0;
-  int tolerance = 0;
-  std::size_t launch_faults = 0;
-  std::size_t stream_faults = 0;
-  std::size_t capture_drops = 0;
-  std::size_t fallback_scopes = 0;
-  int peak_concurrency = 0;
-  // DAG-mode accumulators.
-  std::size_t relu_epilogues = 0;
-  std::size_t fused_chains = 0;
-  int peak_op_concurrency = 0;
-};
+/// This run's flags minus the ones that pick seeds, output and verbosity:
+/// appended to `--replay <seed>` they reproduce one case exactly.
+std::string replay_flags(int argc, char** argv) {
+  std::string out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::string name = arg.substr(0, arg.find('='));
+    if (name == "--cases" || name == "--seed" || name == "--replay" ||
+        name == "--trace") {
+      if (name == arg) ++i;  // skip the separate value
+      continue;
+    }
+    if (arg != "--verbose") out += " " + arg;
+  }
+  return out;
+}
+
+/// One-line account of a passing case.
+std::string describe(const glpfuzz::DiffResult& r) {
+  std::ostringstream os;
+  os << (r.bit_exact_observed ? "bit-exact" : "tolerance") << " over "
+     << r.values_compared << " values (max diff " << r.max_diff << ")";
+  if (r.kernels_compared + r.copies_compared > 0) {
+    os << ", engines identical over " << r.kernels_compared << " kernels, "
+       << r.copies_compared << " copies";
+  }
+  if (r.races.ops_checked > 0) {
+    os << ", " << r.races.ops_checked << " ops, peak C="
+       << r.races.peak_concurrency;
+  }
+  const std::size_t edges =
+      r.forward_schedule.edges_checked + r.backward_schedule.edges_checked;
+  if (edges > 0) {
+    os << ", fused " << r.fused_chains << " chain(s) + " << r.relu_epilogues
+       << " epilogue(s), op-concurrency fwd="
+       << r.forward_schedule.peak_op_concurrency
+       << " bwd=" << r.backward_schedule.peak_op_concurrency;
+  }
+  if (r.transfers.transfers_checked > 0) {
+    os << ", " << r.transfers.transfers_checked << " transfer(s), peak link "
+       << r.transfers.peak_channel_rate << " GB/s";
+  }
+  return os.str();
+}
+
+void write_trace(const glpfuzz::DiffResult& r, const std::string& path) {
+  if (r.timelines.size() == 1) {
+    gpusim::write_chrome_trace(r.timelines.front(),
+                               glpfuzz::violation_markers(r.races), path);
+  } else {
+    std::vector<const gpusim::Timeline*> timelines;
+    for (const gpusim::Timeline& t : r.timelines) timelines.push_back(&t);
+    gpusim::write_chrome_trace_fleet(timelines, path);
+  }
+  std::printf("     trace written to %s\n", path.c_str());
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int cases = 50;
-  std::uint64_t seed = 1;
-  bool replay = false;
   bool verbose = false;
   std::string trace_path;
   glpfuzz::NetGenOptions gen;
@@ -113,13 +149,9 @@ int main(int argc, char** argv) {
   unsigned long long seed_arg = 1;
   std::string replay_arg;
   bool no_branches = false, no_timeline = false, engine_compare = false;
-  bool dag = false;
-  bool fleet = false, no_overlap = false;
-  glpfuzz::FleetDiffOptions fleet_opts;
+  bool dag = false, fleet = false, no_overlap = false, fp16_wire = false;
   std::string links = "nvlink";
-  std::string fleet_engine = "optimized";
   std::string collective = "auto";
-  bool collective_sample = false, fp16_wire = false;
 
   glp::Flags flags("glp4nn_fuzz",
                    "Differential fuzzer for the GLP4NN runtime scheduler "
@@ -135,19 +167,17 @@ int main(int argc, char** argv) {
            "injected profiler record-loss probability")
       .opt("max-batch", &gen.max_batch, "cap generated batch sizes")
       .flag("engine-compare", &engine_compare,
-            "compare optimized engine vs ReferenceEngine (bit-identical "
-            "losses, params and timelines) instead of serial-vs-scheduler")
+            "engine contract: optimized engine vs ReferenceEngine "
+            "(bit-identical losses, params and timelines) instead of the "
+            "scenario's baseline")
       .flag("dag", &dag,
-            "branchy DAG corpus + three-way DAG differential (DAG vs "
-            "serial AND DAG vs chain-only, with op-schedule replay)")
+            "branchy DAG corpus under DAG scheduling (vs serial AND vs "
+            "chain-only, with op-schedule replay)")
       .flag("fleet", &fleet,
-            "fleet corpus: N-device data-parallel training vs the "
-            "single-device reference (bit-identical) + link-contract audit")
-      .opt("fleet-devices", &fleet_opts.devices, "fleet width")
+            "fleet corpus: N-device data-parallel training (vs the "
+            "sequential micro-batch oracle) + link-contract audit")
+      .opt("fleet-devices", &diff.devices, "fleet width")
       .opt("links", &links, "fleet interconnect: nvlink or pcie")
-      .opt("fleet-engine", &fleet_engine,
-           "engine the fleet devices run on: optimized or reference "
-           "(reference doubles as a cross-engine fleet differential)")
       .flag("no-overlap", &no_overlap,
             "fleet: serialize-then-reduce instead of eager bucketed overlap")
       .opt("collective", &collective,
@@ -156,7 +186,8 @@ int main(int argc, char** argv) {
             "fleet: fp16 gradient compression on the wire")
       .flag("no-branches", &no_branches, "linear nets only")
       .flag("no-timeline", &no_timeline,
-            "skip timeline recording + race checking")
+            "skip the subject audits (race checks, op-schedule replay, "
+            "link-contract audit)")
       .opt("trace", &trace_path,
            "Chrome trace of the last failing (or replayed) case")
       .flag("verbose", &verbose, "one summary line per case");
@@ -168,53 +199,46 @@ int main(int argc, char** argv) {
     case glp::Flags::Status::kOk:
       break;
   }
-  seed = seed_arg;
-  if (!replay_arg.empty()) {
+  std::uint64_t seed = seed_arg;
+  const bool replay = !replay_arg.empty();
+  if (replay) {
     try {
       seed = std::stoull(replay_arg);
     } catch (const std::exception&) {
       fail(flags, "bad value '" + replay_arg + "' for --replay");
     }
-    replay = true;
     cases = 1;
     verbose = true;
   }
   if (no_branches) gen.allow_branches = false;
-  if (no_timeline) diff.check_timeline = false;
+  diff.audit = !no_timeline;
+  if (engine_compare) diff.contract = glpfuzz::Contract::kEngine;
+  bool collective_sample = false;
   if (fleet) {
-    if (engine_compare || dag) fail(flags, "--fleet excludes the other modes");
-    if (fleet_opts.devices < 1) fail(flags, "--fleet-devices must be >= 1");
+    if (dag) fail(flags, "--fleet excludes --dag");
+    if (diff.devices < 1) fail(flags, "--fleet-devices must be >= 1");
     if (links == "nvlink") {
-      fleet_opts.topology = gpusim::LinkTopology::kNvlinkRing;
+      diff.topology = gpusim::LinkTopology::kNvlinkRing;
     } else if (links == "pcie") {
-      fleet_opts.topology = gpusim::LinkTopology::kPcieHost;
+      diff.topology = gpusim::LinkTopology::kPcieHost;
     } else {
       fail(flags, "--links must be nvlink or pcie");
     }
-    if (fleet_engine == "optimized") {
-      fleet_opts.engine = gpusim::EngineKind::kOptimized;
-    } else if (fleet_engine == "reference") {
-      fleet_opts.engine = gpusim::EngineKind::kReference;
-    } else {
-      fail(flags, "--fleet-engine must be optimized or reference");
-    }
-    fleet_opts.overlap = !no_overlap;
-    fleet_opts.faults = diff.faults;
-    fleet_opts.check_transfers = !no_timeline;
+    diff.overlap = !no_overlap;
     if (collective == "sample") {
       collective_sample = true;
     } else if (const auto choice = comm::parse_collective(collective)) {
-      fleet_opts.collective.collective = *choice;
+      diff.collective.collective = *choice;
     } else {
       fail(flags, "--collective must be auto|ring|tree|hier|sample");
     }
-    fleet_opts.collective.wire =
+    diff.collective.wire =
         fp16_wire ? comm::WireFormat::kFp16 : comm::WireFormat::kFp32;
+    diff.scenario = glpfuzz::Scenario::kFleet;
   }
   if (dag) {
     gen.dag_corpus = true;
-    // Under --engine-compare the DAG path runs inside the engine gate.
-    if (engine_compare) diff.dag_schedule = true;
+    diff.scenario = glpfuzz::Scenario::kDag;
   }
   if (cases <= 0) fail(flags, "--cases must be positive");
   for (double rate : {diff.faults.launch_failure_rate,
@@ -225,239 +249,76 @@ int main(int argc, char** argv) {
     }
   }
 
-  Stats stats;
+  int passed = 0, bit_exact = 0;
+  glpfuzz::DiffResult total;  // accounting summed over cases
+  int peak_op_concurrency = 0;
   for (int i = 0; i < cases; ++i) {
     const std::uint64_t case_seed = seed + static_cast<std::uint64_t>(i);
     const glpfuzz::FuzzCase c = fleet ? glpfuzz::make_fleet_case(case_seed, gen)
                                       : glpfuzz::make_case(case_seed, gen);
-
-    if (fleet) {
-      if (collective_sample) {
-        // Rotate through the choices deterministically so a failing seed
-        // replays with the same algorithm via an explicit --collective.
-        static const comm::CollectiveChoice kRotation[] = {
-            comm::CollectiveChoice::kAuto, comm::CollectiveChoice::kRing,
-            comm::CollectiveChoice::kTree, comm::CollectiveChoice::kHier};
-        fleet_opts.collective.collective = kRotation[case_seed % 4];
-      }
-      glpfuzz::FleetDiffResult fr;
-      try {
-        fr = glpfuzz::run_fleet_differential(c, fleet_opts);
-      } catch (const std::exception& e) {
-        fr.ok = false;
-        fr.failure = std::string("exception: ") + e.what();
-      }
-      stats.launch_faults += fr.launch_faults;
-      stats.stream_faults += fr.stream_faults;
-      stats.fallback_scopes += static_cast<std::size_t>(fr.comm_fallbacks);
-      ++stats.bit_exact;
-      if (fr.ok) {
-        ++stats.passed;
-        if (verbose) {
-          std::printf(
-              "PASS %s | %d device(s), %s all-reduce%s bit-identical over "
-              "%zu params, %zu bucket(s), %zu transfer(s), peak link "
-              "%.1f GB/s\n",
-              c.summary().c_str(), fleet_opts.devices,
-              comm::to_string(fleet_opts.collective.collective),
-              fp16_wire ? " (fp16 wire)" : "", fr.params_compared, fr.buckets,
-              fr.transfers.transfers_checked, fr.transfers.peak_channel_rate);
-        }
-      } else {
-        ++stats.failed;
-        std::printf("FAIL %s\n     %s\n", c.summary().c_str(),
-                    fr.failure.c_str());
-        std::printf("     replay: %s --replay %llu --fleet --fleet-devices "
-                    "%d --links %s --fleet-engine %s --collective %s%s%s\n",
-                    argv[0], static_cast<unsigned long long>(case_seed),
-                    fleet_opts.devices, links.c_str(), fleet_engine.c_str(),
-                    comm::to_string(fleet_opts.collective.collective),
-                    fp16_wire ? " --fp16-wire" : "",
-                    no_overlap ? " --no-overlap" : "");
-      }
-      continue;
-    }
-
-    if (engine_compare) {
-      glpfuzz::EngineDiffResult er;
-      try {
-        er = glpfuzz::run_engine_differential(c, diff);
-      } catch (const std::exception& e) {
-        er.ok = false;
-        er.failure = std::string("exception: ") + e.what();
-      }
-      if (er.ok) {
-        ++stats.passed;
-        ++stats.bit_exact;
-        if (verbose) {
-          std::printf("PASS %s | engines bit-identical over %zu kernels, "
-                      "%zu copies\n",
-                      c.summary().c_str(), er.kernels_compared,
-                      er.copies_compared);
-        }
-      } else {
-        ++stats.failed;
-        std::printf("FAIL %s\n     %s\n", c.summary().c_str(),
-                    er.failure.c_str());
-        std::printf("     replay: %s --replay %llu --engine-compare%s\n",
-                    argv[0], static_cast<unsigned long long>(case_seed),
-                    dag ? " --dag" : "");
-      }
-      continue;
-    }
-
-    if (dag) {
-      glpfuzz::DagDiffResult dr;
-      try {
-        dr = glpfuzz::run_dag_differential(c, diff);
-      } catch (const std::exception& e) {
-        dr.ok = false;
-        dr.failure = std::string("exception: ") + e.what();
-      }
-
-      stats.launch_faults += dr.launch_faults;
-      stats.stream_faults += dr.stream_faults;
-      stats.fallback_scopes += dr.serial_fallback_scopes;
-      stats.relu_epilogues += dr.relu_epilogues;
-      stats.fused_chains += dr.fused_chains;
-      stats.peak_concurrency =
-          std::max(stats.peak_concurrency, dr.races.peak_concurrency);
-      stats.peak_op_concurrency =
-          std::max({stats.peak_op_concurrency,
-                    dr.forward_schedule.peak_op_concurrency,
-                    dr.backward_schedule.peak_op_concurrency});
-      (dr.bit_exact_expected ? stats.bit_exact : stats.tolerance) += 1;
-
-      if (dr.ok) {
-        ++stats.passed;
-        if (verbose) {
-          std::printf(
-              "PASS %s | %s, fused %zu chain(s) + %zu epilogue(s), "
-              "op-concurrency fwd=%d bwd=%d, %zu+%zu edges\n",
-              c.summary().c_str(),
-              dr.serial_bits_match && dr.chain_bits_match ? "bit-exact"
-                                                          : "tolerance",
-              dr.fused_chains, dr.relu_epilogues,
-              dr.forward_schedule.peak_op_concurrency,
-              dr.backward_schedule.peak_op_concurrency,
-              dr.forward_schedule.edges_checked,
-              dr.backward_schedule.edges_checked);
-        }
-      } else {
-        ++stats.failed;
-        std::printf("FAIL %s\n     %s\n", c.summary().c_str(),
-                    dr.failure.c_str());
-        if (!dr.races.clean()) std::fputs(dr.races.to_string().c_str(), stdout);
-        if (!dr.forward_schedule.clean()) {
-          std::fputs(dr.forward_schedule.to_string().c_str(), stdout);
-        }
-        if (!dr.backward_schedule.clean()) {
-          std::fputs(dr.backward_schedule.to_string().c_str(), stdout);
-        }
-        std::printf("     replay: %s --replay %llu --dag\n", argv[0],
-                    static_cast<unsigned long long>(case_seed));
-      }
-
-      // Trace dump of the DAG-scheduled run (same shape as the serial
-      // branch below, with ec.dag_schedule on).
-      if (!trace_path.empty() && (replay || !dr.ok)) {
-        const glpfuzz::FuzzCase again = glpfuzz::make_case(case_seed, gen);
-        scuda::Context ctx(again.device);
-        ctx.device().timeline().set_enabled(true);
-        glp4nn::Glp4nnEngine engine(again.options);
-        mc::ExecContext ec;
-        ec.ctx = &ctx;
-        ec.dispatcher = &engine.scheduler_for(ctx);
-        ec.dag_schedule = true;
-        mc::Net net(again.net, ec);
-        mc::SgdSolver solver(net, {});
-        solver.step(again.iters);
-        ctx.device().synchronize();
-        const glpfuzz::RaceReport report =
-            glpfuzz::check_timeline(ctx.device().timeline(), again.device);
-        gpusim::write_chrome_trace(ctx.device().timeline(),
-                                   glpfuzz::violation_markers(report),
-                                   trace_path);
-        std::printf("     trace written to %s\n", trace_path.c_str());
-      }
-      continue;
+    if (collective_sample) {
+      // Rotate through the choices deterministically so a failing seed
+      // replays with the same algorithm.
+      static const comm::CollectiveChoice kRotation[] = {
+          comm::CollectiveChoice::kAuto, comm::CollectiveChoice::kRing,
+          comm::CollectiveChoice::kTree, comm::CollectiveChoice::kHier};
+      diff.collective.collective = kRotation[case_seed % 4];
     }
 
     glpfuzz::DiffResult r;
-    std::string error;
     try {
       r = glpfuzz::run_differential(c, diff);
     } catch (const std::exception& e) {
-      r.ok = false;
-      r.failure = std::string("exception: ") + e.what();
+      r.fail(std::string("exception: ") + e.what());
     }
-
-    stats.launch_faults += r.launch_faults;
-    stats.stream_faults += r.stream_faults;
-    stats.capture_drops += r.capture_drops;
-    stats.fallback_scopes += r.serial_fallback_scopes;
-    stats.peak_concurrency =
-        std::max(stats.peak_concurrency, r.races.peak_concurrency);
-    (r.bit_exact_expected ? stats.bit_exact : stats.tolerance) += 1;
+    total.launch_faults += r.launch_faults;
+    total.stream_faults += r.stream_faults;
+    total.capture_drops += r.capture_drops;
+    total.fallbacks += r.fallbacks;
+    total.fused_chains += r.fused_chains;
+    total.relu_epilogues += r.relu_epilogues;
+    peak_op_concurrency = std::max({peak_op_concurrency,
+                                    r.forward_schedule.peak_op_concurrency,
+                                    r.backward_schedule.peak_op_concurrency});
+    if (r.bit_exact_expected) ++bit_exact;
 
     if (r.ok) {
-      ++stats.passed;
+      ++passed;
       if (verbose) {
-        std::printf("PASS %s | %s, max param diff %.3g, %zu ops, peak C=%d\n",
-                    c.summary().c_str(),
-                    r.bit_exact_observed ? "bit-exact" : "tolerance",
-                    r.max_param_diff, r.races.ops_checked,
-                    r.races.peak_concurrency);
+        std::printf("PASS %s | %s\n", c.summary().c_str(), describe(r).c_str());
       }
     } else {
-      ++stats.failed;
       std::printf("FAIL %s\n     %s\n", c.summary().c_str(),
                   r.failure.c_str());
-      if (!r.races.clean()) {
-        std::fputs(r.races.to_string().c_str(), stdout);
+      for (const std::string& report :
+           {r.races.to_string(), r.forward_schedule.to_string(),
+            r.backward_schedule.to_string()}) {
+        std::fputs(report.c_str(), stdout);
       }
-      std::printf("     replay: %s --replay %llu\n", argv[0],
-                  static_cast<unsigned long long>(case_seed));
+      std::printf("     replay: %s --replay %llu%s\n", argv[0],
+                  static_cast<unsigned long long>(case_seed),
+                  replay_flags(argc, argv).c_str());
     }
-
-    // On request, dump a trace of the replayed (or any failing) case with
-    // race-violation markers for chrome://tracing triage.
-    if (!trace_path.empty() && (replay || !r.ok)) {
-      const glpfuzz::FuzzCase again = glpfuzz::make_case(case_seed, gen);
-      scuda::Context ctx(again.device);
-      ctx.device().timeline().set_enabled(true);
-      glp4nn::Glp4nnEngine engine(again.options);
-      mc::ExecContext ec;
-      ec.ctx = &ctx;
-      ec.dispatcher = &engine.scheduler_for(ctx);
-      mc::Net net(again.net, ec);
-      mc::SgdSolver solver(net, {});
-      solver.step(again.iters);
-      ctx.device().synchronize();
-      const glpfuzz::RaceReport report =
-          glpfuzz::check_timeline(ctx.device().timeline(), again.device);
-      gpusim::write_chrome_trace(ctx.device().timeline(),
-                                 glpfuzz::violation_markers(report),
-                                 trace_path);
-      std::printf("     trace written to %s\n", trace_path.c_str());
+    if (!trace_path.empty() && (replay || !r.ok) && !r.timelines.empty()) {
+      write_trace(r, trace_path);
     }
   }
 
   std::printf(
       "\n%d/%d cases passed (%d bit-exact regime, %d tolerance regime)\n",
-      stats.passed, cases, stats.bit_exact, stats.tolerance);
-  if (stats.launch_faults + stats.stream_faults + stats.capture_drops > 0) {
+      passed, cases, bit_exact, cases - bit_exact);
+  if (total.launch_faults + total.stream_faults + total.capture_drops > 0) {
     std::printf(
         "faults injected: %zu launch, %zu stream-create, %zu capture drops; "
-        "%zu scope(s) degraded to serial\n",
-        stats.launch_faults, stats.stream_faults, stats.capture_drops,
-        stats.fallback_scopes);
+        "%zu scope(s) or comm lane(s) degraded\n",
+        total.launch_faults, total.stream_faults, total.capture_drops,
+        total.fallbacks);
   }
-  if (dag && !engine_compare) {
+  if (dag) {
     std::printf(
         "dag: %zu coalesced chain(s), %zu ReLU epilogue(s), peak op "
         "concurrency %d\n",
-        stats.fused_chains, stats.relu_epilogues, stats.peak_op_concurrency);
+        total.fused_chains, total.relu_epilogues, peak_op_concurrency);
   }
-  return stats.failed == 0 ? 0 : 1;
+  return passed == cases ? 0 : 1;
 }
