@@ -4,7 +4,7 @@
 // optimized engine and the ReferenceEngine seam. Writes the committed
 // BENCH_engine.json baseline the CI perf-smoke checks against.
 //
-// Two workloads:
+// Three workloads:
 //   * stream-sweep: S streams, each submitting a chain of small kernels
 //     round-robin with periodic device syncs. Stresses admission order,
 //     the event horizon and residency recomputation — the paths the
@@ -12,6 +12,11 @@
 //   * serving-mix: a serving-shaped program — H2D copy, fan-out kernels
 //     guarded by events across slice streams, D2H copy, host callback,
 //     periodic lookahead — resembling the inference server's op stream.
+//   * sparse-pool: the tenant-sliced server's stream shape — ~100 live
+//     streams of which one to four hold work at a time. Each scope forks
+//     a few pool streams off its slice's home stream through an event and
+//     joins them back, and the device is driven up to the host clock
+//     after every scope. Stresses the per-pass cost of idle streams.
 //
 // Timings are real wall-clock (this benchmark measures the simulator
 // itself, not the simulated device), so absolute numbers vary across
@@ -140,6 +145,66 @@ WorkloadResult run_serving_mix(gpusim::EngineKind kind, int slices,
   return r;
 }
 
+/// `slices` home streams, each owning a `width`-wide slice of pool
+/// streams. Scope i runs on slice i % slices: a kernel on the home
+/// stream, a fork event, one to four pool streams that wait on it and
+/// run two kernels each, and a join back to the home stream. After every
+/// scope the device catches up with the host clock, as the serving event
+/// loop's lookahead does, so only the last scope's streams stay busy.
+WorkloadResult run_sparse_pool(gpusim::EngineKind kind, int slices, int width,
+                               int scopes) {
+  auto dev = gpusim::make_device_engine(gpusim::DeviceTable::p100(), kind);
+  std::vector<gpusim::StreamId> homes, pool;
+  for (int s = 0; s < slices; ++s) homes.push_back(dev->create_stream(1));
+  for (int s = 0; s < slices * width; ++s) {
+    pool.push_back(dev->create_stream(0));
+  }
+
+  WorkloadResult r;
+  std::uint64_t state = 0x243f6a8885a308d3ull;  // xorshift: machine-independent
+  const auto rnd = [&state](std::uint64_t bound) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<int>(state % bound);
+  };
+  std::vector<gpusim::EventId> joins;
+  const auto t0 = Clock::now();
+  for (int scope = 0; scope < scopes; ++scope) {
+    const int slice = scope % slices;
+    const gpusim::StreamId home = homes[static_cast<std::size_t>(slice)];
+    dev->launch_kernel(home, "scope",
+                       small_config(static_cast<unsigned>(scope)), small_cost(),
+                       {});
+    const gpusim::EventId fork = dev->record_event(home);
+    r.ops += 2;
+    joins.clear();
+    const int used = 1 + rnd(4);
+    const int first = rnd(width);
+    for (int i = 0; i < used; ++i) {
+      const gpusim::StreamId s =
+          pool[static_cast<std::size_t>(slice * width + (first + i) % width)];
+      dev->wait_event(s, fork);
+      for (int k = 0; k < 2; ++k) {
+        dev->launch_kernel(s, "sample",
+                           small_config(static_cast<unsigned>(scope + i + k)),
+                           small_cost(), {});
+      }
+      joins.push_back(dev->record_event(s));
+      r.ops += 4;
+    }
+    for (const gpusim::EventId ev : joins) dev->wait_event(home, ev);
+    r.ops += joins.size();
+    dev->advance_device_to(dev->host_now());
+  }
+  dev->synchronize();
+  for (gpusim::StreamId id : pool) dev->destroy_stream(id);
+  for (gpusim::StreamId id : homes) dev->destroy_stream(id);
+  r.wall_ms = ms_since(t0);
+  r.sim_ns = dev->device_now();
+  return r;
+}
+
 struct Record {
   std::string workload;
   std::string engine;
@@ -210,10 +275,14 @@ int main(int argc, char** argv) {
   try {
     std::vector<int> sweep_streams{8, 32, 96};
     int rounds = 300, sync_every = 25, slices = 8, batches = 600;
+    // Four 24-wide slices: 96 pool + 4 home + the default stream.
+    const int pool_slices = 4, pool_width = 24;
+    int scopes = 3000;
     if (quick) {
       sweep_streams = {32};
       rounds = 120;
       batches = 200;
+      scopes = 1000;
     }
 
     std::vector<Record> records;
@@ -250,6 +319,10 @@ int main(int argc, char** argv) {
     run_pair("serving-mix", slices, [&](gpusim::EngineKind kind) {
       return run_serving_mix(kind, slices, batches);
     });
+    run_pair("sparse-pool", pool_slices * (pool_width + 1) + 1,
+             [&](gpusim::EngineKind kind) {
+               return run_sparse_pool(kind, pool_slices, pool_width, scopes);
+             });
 
     write_json(out, records);
     std::printf("wrote %s (%zu records)\n", out.c_str(), records.size());

@@ -29,7 +29,7 @@ void BM_AnalyticalModel(benchmark::State& state) {
   glp4nn::AnalyticalModel model(gpusim::DeviceTable::p100());
   std::vector<glp4nn::KernelStats> kernels;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    kernels.push_back(make_kernel("k" + std::to_string(i),
+    kernels.push_back(make_kernel(std::string("k").append(std::to_string(i)),
                                   4 + static_cast<unsigned>(i) * 3, 256,
                                   10.0 + i * 7.0));
   }

@@ -1,6 +1,7 @@
 #include "gpusim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -107,8 +108,9 @@ void SeqWindow::grow() {
 SimDevice::SimDevice(DeviceProps props) : DeviceEngine(std::move(props)) {
   StreamState def;
   def.live = true;
+  def.level = &runnable_[0];
+  def.level->resize(1);
   streams_.push_back(std::move(def));  // the default stream always exists
-  admission_order_.push_back(kDefaultStream);
   live_streams_ = 1;
   events_.resize(1);  // EventIds start at 1; slot 0 stays kUnknown
   copy_min_end_ = kInf;
@@ -121,16 +123,13 @@ StreamId SimDevice::create_stream(int priority, bool non_blocking) {
   st.priority = priority;
   st.live = true;
   st.non_blocking = non_blocking;
+  // Size the level's bitset to cover the new id now, so marking the
+  // stream runnable never grows it.
+  st.level = &runnable_[priority];
+  st.level->resize(std::max(st.level->size(),
+                            static_cast<std::size_t>(id) / 64 + 1));
   streams_.push_back(std::move(st));
   ++live_streams_;
-  // Keep the admission index ordered by (priority desc, id asc): the new
-  // stream has the largest id, so it goes after every live stream of
-  // equal-or-higher priority — exactly where the reference loop's
-  // stable_sort would place it.
-  auto pos = std::upper_bound(
-      admission_order_.begin(), admission_order_.end(), priority,
-      [this](int p, StreamId s) { return stream_state(s).priority < p; });
-  admission_order_.insert(pos, id);
   return id;
 }
 
@@ -145,9 +144,34 @@ void SimDevice::destroy_stream(StreamId stream) {
   StreamState& st = stream_state(stream);
   st.live = false;
   st.queue = std::deque<Op>();  // release queue storage
+  set_runnable(stream, false);
   --live_streams_;
-  admission_order_.erase(
-      std::find(admission_order_.begin(), admission_order_.end(), stream));
+}
+
+void SimDevice::set_runnable(StreamId stream, bool on) {
+  const auto id = static_cast<std::size_t>(stream);
+  std::uint64_t& word = (*stream_state(stream).level)[id / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+  word = on ? (word | bit) : (word & ~bit);
+}
+
+void SimDevice::end_in_flight(StreamId stream) {
+  StreamState& st = stream_state(stream);
+  st.in_flight = false;
+  set_runnable(stream, runnable(st));
+}
+
+void SimDevice::wake_released() {
+  // The clock only moves forward, so every entry at or below it is a
+  // head that has just become due.
+  while (!release_heap_.empty() && release_heap_.front().release <= now_) {
+    const StreamId stream = release_heap_.front().stream;
+    std::pop_heap(release_heap_.begin(), release_heap_.end(), later_release);
+    release_heap_.pop_back();
+    if (stream_live(stream)) {
+      set_runnable(stream, runnable(stream_state(stream)));
+    }
+  }
 }
 
 std::uint64_t SimDevice::launch_kernel(StreamId stream, std::string name,
@@ -295,27 +319,24 @@ void SimDevice::submit(Op op, SimTime host_cost_ns) {
   const bool becomes_head = st.queue.empty();
   st.queue.push_back(std::move(op));
   ++queued_ops_;
-  if (becomes_head && st.queue.front().release > now_) {
-    push_release(st.queue.front());
+  if (becomes_head) {
+    const Op& head = st.queue.front();
+    if (head.release > now_) push_release(head);
+    set_runnable(head.stream, runnable(st));
   }
 }
 
 void SimDevice::push_release(const Op& head) {
   release_heap_.push_back(
       ReleaseEntry{head.release, head.stream, head.seq});
-  std::push_heap(release_heap_.begin(), release_heap_.end(),
-                 [](const ReleaseEntry& a, const ReleaseEntry& b) {
-                   return a.release > b.release;
-                 });
+  std::push_heap(release_heap_.begin(), release_heap_.end(), later_release);
 }
 
 SimTime SimDevice::peek_release() const {
-  // Lazy min-heap: drop entries that are no longer a queue head (the op
-  // started) or whose release has passed (now_ is monotone, so they can
-  // never bound a future horizon either).
-  auto greater = [](const ReleaseEntry& a, const ReleaseEntry& b) {
-    return a.release > b.release;
-  };
+  // Drop entries that are no longer a queue head (the op started) or
+  // whose release has passed (wake_released pops those as the clock
+  // reaches them; now_ is monotone, so they can never bound a future
+  // horizon either).
   while (!release_heap_.empty()) {
     const ReleaseEntry& top = release_heap_.front();
     if (top.release > now_) {
@@ -324,7 +345,7 @@ SimTime SimDevice::peek_release() const {
         return top.release;
       }
     }
-    std::pop_heap(release_heap_.begin(), release_heap_.end(), greater);
+    std::pop_heap(release_heap_.begin(), release_heap_.end(), later_release);
     release_heap_.pop_back();
   }
   return kInf;
@@ -361,81 +382,98 @@ bool SimDevice::start_ready_ops() {
   if (queued_ops_ == 0) return false;
   bool progress = false;
   bool kernel_admitted = false;
-  // Drain a snapshot of the admission index (already (priority desc, id
-  // asc) — the order the reference loop re-derives by stable_sort every
-  // pass). A snapshot for two reasons: streams created by host functors
-  // executed below must not join this pass, and creation may reallocate
-  // the stream table.
-  drain_order_.assign(admission_order_.begin(), admission_order_.end());
-  for (StreamId sid : drain_order_) {
-    for (;;) {
-      StreamState& st = stream_state(sid);
-      if (!st.live || st.queue.empty()) break;
-      Op& head = st.queue.front();
-      if (!op_ready(head)) break;
-      switch (head.kind) {
-        case OpKind::kKernel: {
-          ActiveKernel active;
-          active.op = std::move(head);
-          active.admit_ns = now_;
-          active.latency_left = props_.kernel_start_latency_us * kUs;
-          active.work_left = work_thread_cycles(active.op.config, active.op.cost);
-          active.work_per_block =
-              active.work_left / static_cast<double>(active.op.config.total_blocks());
-          resident_.push_back(std::move(active));
-          kernel_admitted = true;
-          break;
-        }
-        case OpKind::kCopy: {
-          ActiveCopy copy;
-          copy.op = std::move(head);
-          if (copy.op.peer >= 0) {
-            // Cross-device transfer: the span was fixed by the link model.
-            // The end is clamped to `now` so an op that becomes runnable
-            // after its link span (stream backlog) completes immediately
-            // instead of handing advance_to a past-time event.
-            copy.start_ns = copy.op.peer_start;
-            copy.end_ns = std::max(copy.op.peer_end, now_);
-          } else {
-            const int dir = copy.op.host_to_device ? 0 : 1;
-            copy.start_ns = std::max(now_, copy_engine_free_[dir]);
-            copy.end_ns = copy.start_ns + static_cast<double>(copy.op.bytes) /
-                                              props_.pcie_bandwidth_gbs;
-            copy_engine_free_[dir] = copy.end_ns;
+  // Walk the runnable streams by (priority desc, id asc) — the order the
+  // reference loop re-derives by stable_sort every pass — and drain each
+  // one's ready heads. Skipping the other streams changes nothing: their
+  // heads would fail op_ready. The reference drains a per-pass snapshot
+  // of the streams, so streams created by host functors below (ids >=
+  // limit) do not join this pass. Work a functor queues on a stream past
+  // the cursor is still visited: every step re-reads the current word.
+  const auto limit = static_cast<std::size_t>(next_stream_);
+  for (auto& level : runnable_) {
+    const RunnableBits& bits = level.second;  // a functor may grow it
+    for (std::size_t w = 0; w < bits.size() && w * 64 < limit; ++w) {
+      const std::size_t base = w * 64;
+      const std::uint64_t in_pass =
+          limit - base >= 64 ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << (limit - base)) - 1;
+      std::uint64_t pending = bits[w] & in_pass;
+      while (pending != 0) {
+        const int b = std::countr_zero(pending);
+        const StreamId sid = static_cast<StreamId>(base) + b;
+        for (;;) {
+          Op& head = stream_state(sid).queue.front();
+          if (!op_ready(head)) break;
+          kernel_admitted |= start_op(head);
+          progress = true;
+          // Pop the consumed head. Re-fetch the stream slot: a host
+          // functor may have submitted more work to this queue.
+          StreamState& cur = stream_state(sid);
+          cur.queue.pop_front();
+          --queued_ops_;
+          if (!cur.queue.empty() && cur.queue.front().release > now_) {
+            push_release(cur.queue.front());
           }
-          copy_min_end_ = std::min(copy_min_end_, copy.end_ns);
-          copies_.push_back(std::move(copy));
-          break;
+          if (!runnable(cur)) {
+            set_runnable(sid, false);
+            break;
+          }
         }
-        case OpKind::kEventRecord: {
-          events_[head.event] = EventSlot{now_, EventState::kRecorded};
-          complete_op_bookkeeping(head.seq, head.non_blocking);
-          break;
-        }
-        case OpKind::kWaitEvent: {
-          complete_op_bookkeeping(head.seq, head.non_blocking);
-          break;
-        }
-        case OpKind::kHostFn: {
-          if (head.work) head.work();
-          complete_op_bookkeeping(head.seq, head.non_blocking);
-          break;
-        }
+        pending = bits[w] & in_pass & ((~std::uint64_t{0} << b) << 1);
       }
-      // Pop the consumed head. Re-fetch the stream slot: a host functor
-      // above may have created streams (reallocating the table) or
-      // submitted more work to this queue.
-      StreamState& cur = stream_state(sid);
-      cur.queue.pop_front();
-      --queued_ops_;
-      if (!cur.queue.empty() && cur.queue.front().release > now_) {
-        push_release(cur.queue.front());
-      }
-      progress = true;
     }
   }
   if (kernel_admitted) recompute_rates();
   return progress;
+}
+
+bool SimDevice::start_op(Op& head) {
+  switch (head.kind) {
+    case OpKind::kKernel: {
+      stream_state(head.stream).in_flight = true;
+      ActiveKernel active;
+      active.op = std::move(head);
+      active.admit_ns = now_;
+      active.latency_left = props_.kernel_start_latency_us * kUs;
+      active.work_left = work_thread_cycles(active.op.config, active.op.cost);
+      active.work_per_block =
+          active.work_left / static_cast<double>(active.op.config.total_blocks());
+      resident_.push_back(std::move(active));
+      return true;
+    }
+    case OpKind::kCopy: {
+      stream_state(head.stream).in_flight = true;
+      ActiveCopy copy;
+      copy.op = std::move(head);
+      if (copy.op.peer >= 0) {
+        // Cross-device transfer: the span was fixed by the link model.
+        // The end is clamped to `now` so an op that becomes runnable
+        // after its link span (stream backlog) completes immediately
+        // instead of handing advance_to a past-time event.
+        copy.start_ns = copy.op.peer_start;
+        copy.end_ns = std::max(copy.op.peer_end, now_);
+      } else {
+        const int dir = copy.op.host_to_device ? 0 : 1;
+        copy.start_ns = std::max(now_, copy_engine_free_[dir]);
+        copy.end_ns = copy.start_ns + static_cast<double>(copy.op.bytes) /
+                                          props_.pcie_bandwidth_gbs;
+        copy_engine_free_[dir] = copy.end_ns;
+      }
+      copy_min_end_ = std::min(copy_min_end_, copy.end_ns);
+      copies_.push_back(std::move(copy));
+      return false;
+    }
+    case OpKind::kEventRecord:
+      events_[head.event] = EventSlot{now_, EventState::kRecorded};
+      break;
+    case OpKind::kWaitEvent:
+      break;
+    case OpKind::kHostFn:
+      if (head.work) head.work();
+      break;
+  }
+  complete_op_bookkeeping(head.seq, head.non_blocking);
+  return false;
 }
 
 void SimDevice::recompute_rates() {
@@ -554,6 +592,7 @@ void SimDevice::advance_to(SimTime t) {
     if (!resident_.empty()) stats_.active_ns += dt;
     stats_.sim_span_ns += dt;
     now_ = t;
+    wake_released();
   }
 
   // Clamp latency residues too small to be represented as a time advance
@@ -605,6 +644,7 @@ void SimDevice::advance_to(SimTime t) {
         timeline_.add_copy(rec);
         if (copy_cb_) copy_cb_(rec);
         complete_op_bookkeeping(done.op.seq, done.op.non_blocking);
+        end_in_flight(done.op.stream);
       } else {
         ++i;
       }
@@ -635,6 +675,7 @@ void SimDevice::finish_kernel(std::size_t idx) {
   if (kernel_cb_) kernel_cb_(rec);
 
   complete_op_bookkeeping(done.op.seq, done.op.non_blocking);
+  end_in_flight(done.op.stream);
   recompute_rates();
 }
 

@@ -28,7 +28,10 @@
 // Two implementations share the `DeviceEngine` interface:
 //  * `SimDevice` — the production engine. Flat indexed stream table, an
 //    O(1) sequence window instead of an ordered incomplete-set, a
-//    persistent priority-ordered admission index, an incrementally
+//    runnable-stream index (one bitset per priority, set while a
+//    stream's queue head is released and not waiting on the stream's own
+//    executing kernel or copy) so each pass visits only streams whose head
+//    could start instead of every live stream, an incrementally
 //    maintained event horizon (release min-heap + cached copy minimum),
 //    and a residency/rate memo keyed on the resident-set signature. See
 //    docs/PERFORMANCE.md ("Engine internals & hot path").
@@ -40,6 +43,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -359,6 +363,10 @@ class SimDevice final : public DeviceEngine {
     SimTime end_ns = 0.0;
   };
 
+  /// Runnable-stream bitset of one priority level: bit `id` is set while
+  /// stream `id` is runnable (see runnable()).
+  using RunnableBits = std::vector<std::uint64_t>;
+
   /// One slot of the flat stream table, indexed directly by StreamId
   /// (ids are dense and never reused).
   struct StreamState {
@@ -367,6 +375,10 @@ class SimDevice final : public DeviceEngine {
     int priority = 0;
     bool live = false;
     bool non_blocking = false;   ///< exempt from default-stream ordering
+    /// A kernel or copy of this stream is executing. In-stream FIFO makes
+    /// it the only one, and the queue head cannot start before it ends.
+    bool in_flight = false;
+    RunnableBits* level = nullptr;  ///< this stream's bitset in runnable_
   };
 
   enum class EventState : std::uint8_t { kUnknown = 0, kPending, kRecorded };
@@ -375,14 +387,19 @@ class SimDevice final : public DeviceEngine {
     EventState state = EventState::kUnknown;
   };
 
-  /// Lazy min-heap entry over stream-queue head release times: one entry
-  /// per op that becomes a queue head with a future release. Stale
-  /// entries (head changed, release passed) are dropped at peek time.
+  /// Min-heap entry over stream-queue head release times: one entry per
+  /// op that becomes a queue head with a future release. advance_to pops
+  /// the entries the clock reaches and marks their streams runnable;
+  /// peek_release also drops any whose head changed.
   struct ReleaseEntry {
     SimTime release = 0.0;
     StreamId stream = kDefaultStream;
     std::uint64_t seq = 0;
   };
+  /// Heap order for release_heap_: the earliest release on top.
+  static bool later_release(const ReleaseEntry& a, const ReleaseEntry& b) {
+    return a.release > b.release;
+  }
 
   /// Memoized outcome of one residency repack + rate rescale, keyed by
   /// the resident-set signature (per kernel: block shape, shared memory,
@@ -400,6 +417,22 @@ class SimDevice final : public DeviceEngine {
   /// Start every op that can start at the current sim time. Returns true
   /// if anything changed.
   bool start_ready_ops();
+  /// Start a ready queue head (the caller pops it). Returns true if it
+  /// admitted a kernel.
+  bool start_op(Op& head);
+  /// Could the stream's queue head start now, as far as the stream itself
+  /// goes: it exists, its release time has come, and no kernel or copy of
+  /// the stream is executing. Cross-stream conditions (events, the
+  /// default-stream barrier, the concurrency degree) are op_ready's.
+  bool runnable(const StreamState& st) const {
+    return !st.queue.empty() && !st.in_flight &&
+           st.queue.front().release <= now_;
+  }
+  void set_runnable(StreamId stream, bool on);
+  /// A stream's executing kernel or copy completed.
+  void end_in_flight(StreamId stream);
+  /// Mark the streams whose queue heads the clock has released runnable.
+  void wake_released();
   bool op_ready(const Op& op) const;
   void complete_op_bookkeeping(std::uint64_t seq, bool non_blocking);
   void recompute_rates();
@@ -423,8 +456,11 @@ class SimDevice final : public DeviceEngine {
   // fallback for vector reallocation), and deque growth keeps references
   // stable across create_stream calls made from host functors.
   std::deque<StreamState> streams_;    ///< indexed by StreamId
-  std::vector<StreamId> admission_order_;  ///< live streams, (prio desc, id asc)
-  std::vector<StreamId> drain_order_;  ///< scratch: admission snapshot per drain
+  /// Runnable-stream index, one bitset per priority, highest priority
+  /// first. Walking it by priority desc, then id asc, is the order the
+  /// reference loop re-derives by stable_sort every pass. Map nodes are
+  /// stable, so StreamState::level pointers survive new levels.
+  std::map<int, RunnableBits, std::greater<>> runnable_;
   int live_streams_ = 0;
   std::size_t queued_ops_ = 0;         ///< total ops across all queues
 

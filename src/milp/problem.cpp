@@ -9,7 +9,9 @@ int Problem::add_variable(double lower, double upper, double objective,
   GLP_REQUIRE(lower <= upper, "variable bounds inverted: [" << lower << ", "
                                                             << upper << "]");
   Variable v;
-  v.name = name.empty() ? "x" + std::to_string(variables_.size()) : std::move(name);
+  v.name = name.empty()
+               ? std::string("x").append(std::to_string(variables_.size()))
+               : std::move(name);
   v.lower = lower;
   v.upper = upper;
   v.objective = objective;
@@ -27,7 +29,9 @@ int Problem::add_constraint(std::vector<std::pair<int, double>> terms,
     (void)coeff;
   }
   Constraint c;
-  c.name = name.empty() ? "c" + std::to_string(constraints_.size()) : std::move(name);
+  c.name = name.empty()
+               ? std::string("c").append(std::to_string(constraints_.size()))
+               : std::move(name);
   c.terms = std::move(terms);
   c.lower = lower;
   c.upper = upper;

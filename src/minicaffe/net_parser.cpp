@@ -30,15 +30,15 @@ class Lexer {
     if (c == ':') {
       ++pos_;
       t.kind = Token::Kind::kColon;
-      t.text = ":";
+      t.text.push_back(c);
     } else if (c == '{') {
       ++pos_;
       t.kind = Token::Kind::kLBrace;
-      t.text = "{";
+      t.text.push_back(c);
     } else if (c == '}') {
       ++pos_;
       t.kind = Token::Kind::kRBrace;
-      t.text = "}";
+      t.text.push_back(c);
     } else if (c == '"') {
       ++pos_;
       t.kind = Token::Kind::kString;

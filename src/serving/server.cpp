@@ -75,7 +75,9 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
     so.mode = opts_.mode;
     so.weights_path = models_[t].weights;
     so.coalesce_lanes = opts_.coalesce_lanes;
-    if (models_.size() > 1) so.name_prefix = "t" + std::to_string(t) + ":";
+    if (models_.size() > 1) {
+      so.name_prefix = std::string("t").append(std::to_string(t)).append(":");
+    }
     sessions_.push_back(std::make_unique<InferenceSession>(
         *ctx_, *dispatcher_, models_[t].spec, so));
   }

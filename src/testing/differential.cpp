@@ -476,7 +476,7 @@ Output serve(const ServeCase& c, const DiffOptions& o, bool scheduled,
   for (std::size_t t = 0; t < c.nets.size(); ++t) {
     sizes.push_back(sample_size_of(c.nets[t]));
     serving::TenantModel m;
-    m.name = "t" + std::to_string(t);
+    m.name = std::string("t").append(std::to_string(t));
     m.spec = c.nets[t];
     models.push_back(std::move(m));
   }

@@ -299,7 +299,7 @@ TEST(ParallelWorkers, SetRoundTrips) {
 TEST(WallTimer, MeasuresElapsedTime) {
   glp::WallTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.elapsed_us(), 0.0);
   EXPECT_GE(t.elapsed_ms() * 1000.0, t.elapsed_us() * 0.5);
 }
@@ -307,7 +307,7 @@ TEST(WallTimer, MeasuresElapsedTime) {
 TEST(WallTimer, ResetRestarts) {
   glp::WallTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const double before = t.elapsed_us();
   t.reset();
   EXPECT_LE(t.elapsed_us(), before + 1e6);

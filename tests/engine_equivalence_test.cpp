@@ -3,7 +3,7 @@
 // ReferenceEngine seam — identical kernel/copy records (every timestamp
 // bit-for-bit), identical training results, identical serving replays —
 // on fuzzed programs, fault-injected programs, and targeted regressions
-// for the incremental structures (admission index, residency memo,
+// for the incremental structures (runnable-stream index, residency memo,
 // release horizon).
 
 #include <gtest/gtest.h>
@@ -48,14 +48,36 @@ TEST(EngineEquivalence, FaultedCasesBitExact) {
   }
 }
 
+// The serving corpus's seeds (serving_fuzz_test runs the same 1-15).
+constexpr std::uint64_t kServingSeeds = 15;
+
 TEST(EngineEquivalence, ServingReplaysBitExact) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+  for (std::uint64_t seed = 1; seed <= kServingSeeds; ++seed) {
     const glpfuzz::ServeCase c = glpfuzz::make_serving_case(seed);
     const glpfuzz::DiffResult r =
         glpfuzz::run_differential(c, engine_contract());
     EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.failure;
     EXPECT_GT(r.kernels_compared, 0u) << "seed " << seed;
   }
+}
+
+TEST(EngineEquivalence, FaultedServingReplaysBitExact) {
+  // Both engines draw the same faults: refused stream creations leave
+  // slots on the default stream and refused launches re-issue there, so
+  // the tenant-sliced server runs a different stream layout per seed.
+  glpfuzz::DiffOptions opts = engine_contract();
+  opts.faults.launch_failure_rate = 0.05;
+  opts.faults.stream_create_failure_rate = 0.05;
+  opts.faults.capture_loss_rate = 0.05;
+  std::size_t faults = 0;
+  for (std::uint64_t seed = 1; seed <= kServingSeeds; ++seed) {
+    const glpfuzz::ServeCase c = glpfuzz::make_serving_case(seed);
+    const glpfuzz::DiffResult r = glpfuzz::run_differential(c, opts);
+    EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.failure;
+    EXPECT_GT(r.kernels_compared, 0u) << "seed " << seed;
+    faults += r.launch_faults + r.stream_faults + r.capture_drops;
+  }
+  EXPECT_GT(faults, 0u) << "no fault fired across the corpus";
 }
 
 TEST(EngineEquivalence, TimelinesDifferingOnlyInCopyPeerCompareUnequal) {
@@ -159,7 +181,7 @@ TEST(EngineEquivalence, RandomDirectApiProgram) {
 // Regression: several streams sharing one priority level. The reference
 // drains by std::map order refined by a stable_sort on priority; the
 // optimized engine must reproduce that (priority desc, id asc) order from
-// its persistent admission index, including the equal-priority ties.
+// its runnable-stream index, including the equal-priority ties.
 TEST(EngineEquivalence, AdmissionOrderTiesUnderEqualPriorities) {
   expect_program_equivalent([](gpusim::DeviceEngine& dev) {
     std::vector<gpusim::StreamId> low, high;
@@ -190,7 +212,7 @@ TEST(EngineEquivalence, AdmissionOrderTiesUnderEqualPriorities) {
 }
 
 // Regression: stream destruction mid-program. The optimized engine's
-// admission index and release horizon must drop the stream, and the
+// runnable-stream index and release horizon must drop the stream, and the
 // residency-rate memo must keep answering correctly for resident sets
 // formed before and after the destroy.
 TEST(EngineEquivalence, StreamDestroyInvalidation) {
@@ -218,7 +240,7 @@ TEST(EngineEquivalence, StreamDestroyInvalidation) {
 }
 
 // Regression: host callbacks that create streams and submit work while
-// the engine is mid-drain (the reason the drain order is snapshotted).
+// the engine is mid-drain (streams created during a pass must not join it).
 TEST(EngineEquivalence, HostCallbackReentrancy) {
   expect_program_equivalent([](gpusim::DeviceEngine& dev) {
     const gpusim::StreamId s1 = dev.create_stream(1);
@@ -251,6 +273,141 @@ TEST(EngineEquivalence, CrossStreamEventChains) {
       if (i % 5 == 0) {
         EXPECT_EQ(dev.event_complete(ev), dev.event_complete(ev));
         dev.synchronize_event(ev);
+      }
+    }
+  });
+}
+
+// --- runnable-stream index ---------------------------------------------------
+//
+// Same-direction copies share one copy engine, which serves them in the
+// order a pass visits their streams; every copy record's start time
+// therefore pins the walk order, and a divergence fails the comparison.
+
+// Many live streams, few busy: 150 pool streams span three words of the
+// index, and each scope forks one to four of them off a home stream and
+// joins them back, as the tenant-sliced server does.
+TEST(EngineEquivalence, RunnableIndexWalksManyIdleStreams) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    const auto rnd = [&state](std::uint64_t bound) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state % bound;
+    };
+    const gpusim::StreamId home = dev.create_stream(1);
+    std::vector<gpusim::StreamId> pool;
+    for (int s = 0; s < 150; ++s) pool.push_back(dev.create_stream(0));
+    for (int scope = 0; scope < 60; ++scope) {
+      dev.launch_kernel(home, "gate", cfg(64, 256), cost(2e8), {});
+      const gpusim::EventId fork = dev.record_event(home);
+      std::vector<gpusim::EventId> joins;
+      const std::uint64_t width = 1 + rnd(4);
+      for (std::uint64_t i = 0; i < width; ++i) {
+        const gpusim::StreamId s = pool[rnd(pool.size())];
+        dev.wait_event(s, fork);
+        dev.memcpy_async(s, 4096 + rnd(1 << 14), true, {});
+        dev.launch_kernel(s, "slice", cfg(8 + rnd(32), 128),
+                          cost(2e5 + 1e4 * rnd(20)), {});
+        joins.push_back(dev.record_event(s));
+      }
+      for (const gpusim::EventId ev : joins) dev.wait_event(home, ev);
+      if (rnd(8) == 0) dev.synchronize();
+    }
+  });
+}
+
+// A host callback creates streams mid-pass: one at its own priority (ids
+// past the cursor in the same word), one below it, and one at a brand-new
+// higher level. None may join the pass that ran the callback, so the new
+// level's copy goes first on the next pass.
+TEST(EngineEquivalence, HostCallbackCreatesStreamMidPass) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    const gpusim::StreamId a = dev.create_stream(0);
+    gpusim::DeviceEngine* d = &dev;
+    for (int i = 0; i < 4; ++i) {
+      dev.launch_kernel(a, "long", cfg(64, 256), cost(5e8), {});
+      dev.host_callback(a, [d, i] {
+        for (const int priority : {0, -1, 3 + i}) {
+          const gpusim::StreamId fresh = d->create_stream(priority);
+          d->memcpy_async(fresh, 1 << 14, true, {});
+          d->launch_kernel(fresh, "fresh", cfg(8, 64), cost(1e5), {});
+        }
+      });
+    }
+  });
+}
+
+// A host callback queues copies on idle streams before and after the
+// cursor: past it in the same word, in a later word and at a lower level
+// (all visited in this pass), and before it and at a higher level (left
+// for the next pass).
+TEST(EngineEquivalence, HostCallbackQueuesWorkAroundCursor) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    const gpusim::StreamId before = dev.create_stream(0);
+    const gpusim::StreamId cb = dev.create_stream(0);
+    const gpusim::StreamId after = dev.create_stream(0);
+    for (int s = 0; s < 70; ++s) dev.create_stream(0);
+    const gpusim::StreamId far = dev.create_stream(0);
+    const gpusim::StreamId higher = dev.create_stream(1);
+    const gpusim::StreamId lower = dev.create_stream(-1);
+    ASSERT_GE(far, 64);  // the walk must cross a word boundary
+    gpusim::DeviceEngine* d = &dev;
+    for (int i = 0; i < 3; ++i) {
+      dev.launch_kernel(cb, "long", cfg(64, 256), cost(5e8), {});
+      dev.host_callback(cb, [d, before, after, far, higher, lower] {
+        for (const gpusim::StreamId s : {before, after, far, higher, lower}) {
+          d->memcpy_async(s, 1 << 14, true, {});
+        }
+      });
+    }
+  });
+}
+
+// Two priority levels, the higher one first created while the lower
+// level's work is still queued. More kernels are ready than the K40C's
+// concurrency degree (32), so each freed slot goes to the first stream
+// the walk visits.
+TEST(EngineEquivalence, PriorityLevelCreatedAfterWorkQueued) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    std::vector<gpusim::StreamId> low;
+    for (int s = 0; s < 40; ++s) low.push_back(dev.create_stream(0));
+    for (int round = 0; round < 4; ++round) {
+      for (const gpusim::StreamId s : low) {
+        dev.launch_kernel(s, "low", cfg(16, 128), cost(3e8), {});
+        dev.memcpy_async(s, 1 << 12, false, {});
+      }
+    }
+    const gpusim::StreamId high = dev.create_stream(2);
+    const gpusim::StreamId late_low = dev.create_stream(0);
+    for (int round = 0; round < 6; ++round) {
+      dev.launch_kernel(high, "high", cfg(16, 128), cost(3e8), {});
+      dev.memcpy_async(high, 1 << 12, false, {});
+      dev.launch_kernel(late_low, "late", cfg(16, 128), cost(3e8), {});
+    }
+  });
+}
+
+// Destroying a drained stream clears its place in the index; later work
+// on its word-neighbours and on streams created afterwards runs as in
+// the reference.
+TEST(EngineEquivalence, DestroyDrainedStreamThenMoreWork) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    std::vector<gpusim::StreamId> pool;
+    for (int s = 0; s < 70; ++s) pool.push_back(dev.create_stream(0));
+    for (int wave = 0; wave < 3; ++wave) {
+      const gpusim::StreamId victim = pool[static_cast<std::size_t>(3 + wave)];
+      for (const gpusim::StreamId s : {victim, pool[66]}) {
+        dev.launch_kernel(s, "pre", cfg(16, 128), cost(3e7), {});
+        dev.memcpy_async(s, 1 << 12, true, {});
+      }
+      dev.synchronize_stream(victim);
+      dev.destroy_stream(victim);
+      const gpusim::StreamId fresh = dev.create_stream(0);
+      for (const gpusim::StreamId s : {pool[2], pool[7], pool[66], fresh}) {
+        dev.launch_kernel(s, "post", cfg(16, 128), cost(3e7), {});
+        dev.memcpy_async(s, 1 << 12, true, {});
       }
     }
   });

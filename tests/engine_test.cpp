@@ -46,7 +46,8 @@ TEST(Engine, SameStreamKernelsRunInOrder) {
   std::vector<int> order;
   const auto s = dev.create_stream();
   for (int i = 0; i < 8; ++i) {
-    dev.launch_kernel(s, "k" + std::to_string(i), cfg(4, 128), flops(1e5),
+    dev.launch_kernel(s, std::string("k").append(std::to_string(i)),
+                      cfg(4, 128), flops(1e5),
                       [&order, i] { order.push_back(i); });
   }
   dev.synchronize();

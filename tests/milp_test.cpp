@@ -172,7 +172,8 @@ TEST(BranchAndBound, MixedIntegerAndContinuous) {
   const Solution s = BranchAndBoundSolver().solve(p);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 3.7, 1e-6);
-  EXPECT_NEAR(s.values[0], 2.0, 1e-6);
+  EXPECT_NEAR(s.values[x], 2.0, 1e-6);
+  EXPECT_NEAR(s.values[y], 1.7, 1e-6);
 }
 
 TEST(BranchAndBound, InfeasibleInteger) {

@@ -18,7 +18,7 @@ gpusim::KernelRecord kernel(std::uint64_t corr, gpusim::StreamId stream,
                             double submit, double start, double end) {
   gpusim::KernelRecord k;
   k.correlation_id = corr;
-  k.name = "k" + std::to_string(corr);
+  k.name = std::string("k").append(std::to_string(corr));
   k.stream = stream;
   k.submit_ns = submit;
   k.start_ns = start;

@@ -312,7 +312,9 @@ TEST(DynamicBatcher, SeededTraceFormsDeterministicBatches) {
         for (const auto& r : batch->requests) {
           EXPECT_EQ(r.tenant, batch->tenant);
           const auto t = static_cast<std::size_t>(batch->tenant);
-          if (seen_any[t]) EXPECT_GT(r.id, last_id[t]) << "tenant stream reordered";
+          if (seen_any[t]) {
+            EXPECT_GT(r.id, last_id[t]) << "tenant stream reordered";
+          }
           last_id[t] = r.id;
           seen_any[t] = true;
           ids.push_back(r.id);

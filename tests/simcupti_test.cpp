@@ -123,7 +123,8 @@ TEST(Activity, ManyRecordsSpanMultipleBuffers) {
   api.enable(ActivityKind::kKernel);
   const int n = 50;
   for (int i = 0; i < n; ++i) {
-    ctx.device().launch_kernel(gpusim::kDefaultStream, "k" + std::to_string(i),
+    ctx.device().launch_kernel(gpusim::kDefaultStream,
+                               std::string("k").append(std::to_string(i)),
                                cfg(2, 64), {1e4, 1e4}, {});
   }
   ctx.device().synchronize();

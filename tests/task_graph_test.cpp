@@ -76,7 +76,7 @@ TEST(TaskGraph, IndependentTasksOverlap) {
     const auto pool = make_pool(ctx, streams);
     TaskGraph g;
     for (int i = 0; i < 8; ++i) {
-      g.add_task("t" + std::to_string(i), kernel_task(4e7));
+      g.add_task(std::string("t").append(std::to_string(i)), kernel_task(4e7));
     }
     g.run(ctx, pool, kern::ComputeMode::kTimingOnly);
     ctx.device().synchronize();

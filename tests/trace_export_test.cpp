@@ -106,8 +106,9 @@ TEST(ProfileReport, TopLimitsRows) {
   SimDevice dev(gpusim::DeviceTable::p100());
   dev.timeline().set_enabled(true);
   for (int i = 0; i < 5; ++i) {
-    dev.launch_kernel(gpusim::kDefaultStream, "k" + std::to_string(i),
-                      cfg(4, 128), {1e6 * (i + 1), 1e5}, {});
+    dev.launch_kernel(gpusim::kDefaultStream,
+                      std::string("k").append(std::to_string(i)), cfg(4, 128),
+                      {1e6 * (i + 1), 1e5}, {});
   }
   dev.synchronize();
   const std::string report = gpusim::profile_report(dev.timeline(), 2);

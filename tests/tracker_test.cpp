@@ -113,7 +113,9 @@ TEST_F(TrackerTest, ProfilingActiveFlag) {
 
 TEST_F(TrackerTest, MemoryAccountingGrowsWithRecords) {
   tracker.begin_profiling(ctx);
-  for (int i = 0; i < 10; ++i) launch("k" + std::to_string(i), 4, 128);
+  for (int i = 0; i < 10; ++i) {
+    launch(std::string("k").append(std::to_string(i)), 4, 128);
+  }
   ctx.device().synchronize();
   const ScopeProfile p = tracker.end_profiling(ctx, "s");
   EXPECT_EQ(p.mem_tt_bytes, 10 * ResourceTracker::kTimestampBytesPerRecord);
@@ -146,15 +148,19 @@ TEST_F(TrackerTest, SequentialScopesAccumulateCosts) {
 
 TEST_F(TrackerTest, MultiDeviceSessionsAreIndependent) {
   scuda::Context ctx2(gpusim::DeviceTable::k40c());
-  tracker.begin_profiling(ctx);
-  tracker.begin_profiling(ctx2);  // allowed: different device
+  // A tracker keeps a profiling session on every device it has profiled
+  // until it dies, so this one is declared after ctx2 to die first (the
+  // fixture's tracker would outlive ctx2).
+  ResourceTracker shared;
+  shared.begin_profiling(ctx);
+  shared.begin_profiling(ctx2);  // allowed: different device
   launch("on1", 4, 128);
   ctx2.device().launch_kernel(gpusim::kDefaultStream, "on2", cfg(4, 128),
                               {1e6, 1e6}, {});
   ctx.device().synchronize();
   ctx2.device().synchronize();
-  const ScopeProfile p1 = tracker.end_profiling(ctx, "a");
-  const ScopeProfile p2 = tracker.end_profiling(ctx2, "b");
+  const ScopeProfile p1 = shared.end_profiling(ctx, "a");
+  const ScopeProfile p2 = shared.end_profiling(ctx2, "b");
   ASSERT_EQ(p1.kernels.size(), 1u);
   ASSERT_EQ(p2.kernels.size(), 1u);
   EXPECT_EQ(p1.kernels[0].name, "on1");
