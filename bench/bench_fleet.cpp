@@ -176,7 +176,6 @@ ServeRecord serve_point(int devices, int replicas, double rate, int requests) {
   serving::FleetServerOptions fo;
   fo.server.use_scheduler = true;
   fo.server.scheduler.overhead_charge_ms = 0.05;
-  fo.server.batch.mode = serving::BatchMode::kContinuous;
   fo.server.batch.max_batch = 64;
   fo.server.queue_capacity = 512;
   fo.server.coalesce_lanes = true;

@@ -1,15 +1,16 @@
 // Serving benchmark: latency/throughput/SLO-attainment vs. offered load
-// for the inference serving subsystem. Two sweeps:
+// for the inference serving subsystem. One configuration throughout —
+// continuous batching (max_batch 64), 512-deep tenant queues, lane
+// coalescing and a 5 ms SLO — over two traffic mixes:
 //
-//   * windowed sweep (v1 parity, no deadlines): scheduler-vs-serial
-//     dispatch and dynamic-batcher on/off over 1k-16k req/s — the
-//     baseline comparison the PR-3 floor checks read;
-//   * continuous sweep (the fleet hot path): continuous batching + lane
-//     coalescing with a 5 ms SLO, swept up to 120k offered req/s with
-//     per-tenant SLO attainment reported.
+//   * heavy mix (tiny_cnn+small_cnn), 1k-16k req/s, under both the
+//     GLP4NN scheduler and the serial baseline: the scheduler-vs-serial
+//     comparison the CI floors read;
+//   * light mix (tiny_cnn+mlp), GLP4NN only, 40k-120k req/s: the ingest
+//     sweep, with per-tenant SLO attainment reported.
 //
 // Writes the committed BENCH_serving.json baseline (schema
-// glp4nn-bench-serving-v2, documented in docs/SERVING.md).
+// glp4nn-bench-serving-v3, documented in docs/SERVING.md).
 //
 // Usage: bench_serving [--quick] [--out FILE] [--requests N]
 //
@@ -32,14 +33,14 @@
 
 namespace {
 
+constexpr int kMaxBatch = 64;        // backlog-sized cuts at high offered load
+constexpr int kQueueCapacity = 512;  // per tenant shard
+constexpr double kDeadlineMs = 5.0;  // the SLO
+
 struct ServingRecord {
   std::string mode;  ///< "glp4nn" or "serial"
   std::string mix;   ///< tenant model mix, e.g. "tiny_cnn+small_cnn"
-  bool batcher = true;
-  serving::BatchMode batch_mode = serving::BatchMode::kWindowed;
-  bool coalesce = false;
   double rate_rps = 0.0;
-  double deadline_ms = 0.0;
   serving::ServingStats stats;
 };
 
@@ -50,15 +51,9 @@ serving::ServingStats replay_once(const gpusim::DeviceProps& props,
   scuda::Context ctx(props);
   serving::ServerOptions opts;
   opts.use_scheduler = cfg.mode == "glp4nn";
-  opts.batch.enabled = cfg.batcher;
-  opts.batch.mode = cfg.batch_mode;
-  opts.coalesce_lanes = cfg.coalesce;
-  if (cfg.batch_mode == serving::BatchMode::kContinuous) {
-    opts.batch.max_batch = 64;   // backlog-sized cuts at high offered load
-    opts.queue_capacity = 512;   // per tenant shard
-  } else {
-    opts.queue_capacity = 256;
-  }
+  opts.batch.max_batch = kMaxBatch;
+  opts.queue_capacity = kQueueCapacity;
+  opts.coalesce_lanes = true;
   opts.mode = kern::ComputeMode::kTimingOnly;
   serving::InferenceServer server(ctx, models, opts);
   std::vector<std::size_t> sizes;
@@ -75,22 +70,22 @@ void write_json(const std::string& path,
   std::ofstream os(path);
   GLP_REQUIRE(os.good(), "cannot open '" << path << "' for writing");
   os << "{\n"
-     << "  \"schema\": \"glp4nn-bench-serving-v2\",\n"
+     << "  \"schema\": \"glp4nn-bench-serving-v3\",\n"
      << bench::provenance_json(device)
      << "  \"device\": \"" << device << "\",\n"
      << "  \"models\": [\"tiny_cnn+small_cnn\", \"tiny_cnn+mlp\"],\n"
      << "  \"arrival\": \"poisson\",\n"
      << "  \"requests\": " << requests << ",\n"
+     << "  \"max_batch\": " << kMaxBatch << ",\n"
+     << "  \"queue_capacity\": " << kQueueCapacity << ",\n"
+     << "  \"coalesce\": true,\n"
+     << "  \"deadline_ms\": " << kDeadlineMs << ",\n"
      << "  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ServingRecord& r = records[i];
     const serving::ServingStats& s = r.stats;
     os << "    {\"mode\": \"" << r.mode << "\", \"models\": \"" << r.mix
-       << "\", \"batcher\": "
-       << (r.batcher ? "true" : "false") << ", \"batch_mode\": \""
-       << serving::batch_mode_name(r.batch_mode) << "\", \"coalesce\": "
-       << (r.coalesce ? "true" : "false") << ", \"rate_rps\": " << r.rate_rps
-       << ", \"deadline_ms\": " << r.deadline_ms
+       << "\", \"rate_rps\": " << r.rate_rps
        << ", \"served\": " << s.served << ", \"rejected\": " << s.rejected
        << ", \"shed\": " << s.shed << ", \"expired\": " << s.expired
        << ", \"slo_attainment\": " << s.slo_attainment
@@ -123,7 +118,7 @@ int main(int argc, char** argv) {
 
   glp::Flags flags("bench_serving",
                    "Serving latency/throughput/SLO vs. offered load: "
-                   "scheduler vs serial, windowed vs continuous batching.");
+                   "scheduler vs serial under continuous batching.");
   flags.flag("quick", &quick, "CI mode: fewer load points, shorter trace")
       .opt("requests", &requests, "trace length per load point")
       .opt("out", &out, "output JSON path");
@@ -154,9 +149,9 @@ int main(int argc, char** argv) {
     // Light mix for the high-rate ingest sweep: small_cnn is *device*
     // compute-bound on the simulated P100 (~36k samples/s per tenant,
     // invariant in batch size), which would cap the sweep at ~73k req/s
-    // no matter how good the host path is. The continuous-batching and
-    // coalescing work targets host-side launch overhead, so the ingest
-    // sweep uses models with device headroom past 100k req/s.
+    // no matter how good the host path is. Continuous batching and
+    // coalescing target host-side launch overhead, so the ingest sweep
+    // uses models with device headroom past 100k req/s.
     const auto light = make_models({"tiny_cnn", "mlp"});
 
     std::vector<double> rates{1000, 2000, 4000, 8000, 12000, 16000};
@@ -166,8 +161,8 @@ int main(int argc, char** argv) {
       high_rates = {100000};
       requests = std::min(requests, 300);
     }
-    // High-rate points need enough trace behind them for the continuous
-    // path to reach steady state (the first few cuts are small).
+    // High-rate points need enough trace behind them to reach steady
+    // state (the first few cuts are small).
     const int high_requests = std::max(requests, 2000);
 
     const auto bench_point = [&](ServingRecord cfg, int n,
@@ -178,55 +173,35 @@ int main(int argc, char** argv) {
       ts.requests = n;
       ts.rate_rps = cfg.rate_rps;
       ts.tenants = static_cast<int>(models.size());
-      ts.deadline_ms = cfg.deadline_ms;
+      ts.deadline_ms = kDeadlineMs;
       ts.seed = 42;
       ts.fill_inputs = false;
       cfg.stats = replay_once(props, models, ts, cfg);
       std::printf(
-          "%-7s %-20s %-10s batcher=%-3s %7.0f req/s offered | "
-          "served %5zu/%-5zu | p50 %7.3f p99 %7.3f ms | %7.0f req/s | "
-          "slo %6.2f%%\n",
-          cfg.mode.c_str(), mix, serving::batch_mode_name(cfg.batch_mode),
-          cfg.batcher ? "on" : "off", cfg.rate_rps, cfg.stats.served,
+          "%-7s %-20s %7.0f req/s offered | served %5zu/%-5zu | "
+          "p50 %7.3f p99 %7.3f ms | %7.0f req/s | slo %6.2f%%\n",
+          cfg.mode.c_str(), mix, cfg.rate_rps, cfg.stats.served,
           cfg.stats.offered, cfg.stats.p50_ms, cfg.stats.p99_ms,
           cfg.stats.throughput_rps, 100.0 * cfg.stats.slo_attainment);
       return cfg;
     };
 
     std::vector<ServingRecord> records;
-    // Windowed sweep, heavy mix, no deadlines: scheduler-vs-serial.
+    // Heavy mix, 1k-16k req/s: scheduler vs serial on the same options.
     for (const double rate : rates) {
-      for (const bool scheduler : {false, true}) {
-        for (const bool batcher : {true, false}) {
-          ServingRecord cfg;
-          cfg.mode = scheduler ? "glp4nn" : "serial";
-          cfg.batcher = batcher;
-          cfg.rate_rps = rate;
-          records.push_back(
-              bench_point(cfg, requests, heavy, "tiny_cnn+small_cnn"));
-        }
+      for (const char* mode : {"serial", "glp4nn"}) {
+        ServingRecord cfg;
+        cfg.mode = mode;
+        cfg.rate_rps = rate;
+        records.push_back(
+            bench_point(cfg, requests, heavy, "tiny_cnn+small_cnn"));
       }
     }
-    // Continuous sweep with a 5 ms SLO: the fleet-serving hot path
-    // (continuous batching + lane coalescing). The heavy mix covers the
-    // 1k-16k band (directly comparable to the windowed sweep); the light
-    // mix extends to 120k offered req/s.
-    for (const double rate : rates) {
-      ServingRecord cfg;
-      cfg.mode = "glp4nn";
-      cfg.batch_mode = serving::BatchMode::kContinuous;
-      cfg.coalesce = true;
-      cfg.rate_rps = rate;
-      cfg.deadline_ms = 5.0;
-      records.push_back(bench_point(cfg, requests, heavy, "tiny_cnn+small_cnn"));
-    }
+    // Light mix, the ingest sweep to 120k offered req/s.
     for (const double rate : high_rates) {
       ServingRecord cfg;
       cfg.mode = "glp4nn";
-      cfg.batch_mode = serving::BatchMode::kContinuous;
-      cfg.coalesce = true;
       cfg.rate_rps = rate;
-      cfg.deadline_ms = 5.0;
       records.push_back(bench_point(cfg, high_requests, light, "tiny_cnn+mlp"));
     }
 

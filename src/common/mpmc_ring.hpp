@@ -10,7 +10,7 @@
 // behaviour a bounded ingest queue wants (the caller counts the bounce
 // as a rejection).
 //
-// This is the producer→batcher handoff of the serving subsystem: client
+// This is the producer→server handoff of the serving subsystem: client
 // threads push requests concurrently with zero locks, and the (single- or
 // multi-threaded) drain side pops them for the deterministic replay loop.
 

@@ -100,6 +100,8 @@ std::vector<RequestRecord> FleetServer::replay(
   }
 
   // Independent per-device replays, tenants mapped back to global ids.
+  // Every device server numbers its batches from 0; interleaving the ids
+  // by device keeps them distinct across the fleet.
   std::vector<RequestRecord> merged;
   merged.reserve(trace.size());
   for (int d = 0; d < n; ++d) {
@@ -110,6 +112,8 @@ std::vector<RequestRecord> FleetServer::replay(
     for (RequestRecord& rec : recs) {
       rec.tenant = global_id_[static_cast<std::size_t>(d)]
                              [static_cast<std::size_t>(rec.tenant)];
+      rec.batch_id = rec.batch_id * static_cast<std::uint64_t>(n) +
+                     static_cast<std::uint64_t>(d);
       merged.push_back(std::move(rec));
     }
   }

@@ -55,8 +55,9 @@ class FleetServer {
   }
 
   /// Route `trace` across the fleet and replay every device's slice.
-  /// Returns the merged records (tenant ids are global), ordered by
-  /// completion time then id.
+  /// Returns the merged records (tenant ids are global; device d's batch
+  /// b becomes fleet batch b * devices() + d), ordered by completion time
+  /// then id.
   std::vector<RequestRecord> replay(std::vector<InferenceRequest> trace);
 
   /// Routing table of the last replay: device index per served request

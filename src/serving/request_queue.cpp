@@ -34,50 +34,26 @@ bool RequestQueue::push(InferenceRequest r) {
   Slot& s = slots_[idx];
   s.seq = next_seq_++;
   s.live = true;
-  const int tenant = r.tenant;
   const gpusim::SimTime deadline = r.downgraded ? 0.0 : r.deadline_ns;
   s.req = std::move(r);
-  TenantQ& tq = tenants_[tenant];
-  tq.handles.push_back(idx);
-  ++tq.live;
+  fifo_.push_back(idx);
   if (deadline > 0.0) deadlines_.push({deadline, s.seq, idx});
   ++size_;
   return true;
 }
 
-std::size_t RequestQueue::count(int tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.live;
-}
-
-void RequestQueue::clean_front(TenantQ& tq) {
-  while (!tq.handles.empty() && !slots_[tq.handles.front()].live) {
-    recycle_slot(tq.handles.front());
-    tq.handles.pop_front();
+void RequestQueue::clean_front() {
+  while (!fifo_.empty() && !slots_[fifo_.front()].live) {
+    recycle_slot(fifo_.front());
+    fifo_.pop_front();
   }
 }
 
-const InferenceRequest* RequestQueue::oldest(int tenant) {
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.live == 0) return nullptr;
-  clean_front(it->second);
-  GLP_CHECK(!it->second.handles.empty());
-  return &slots_[it->second.handles.front()].req;
-}
-
-std::vector<int> RequestQueue::tenants_by_oldest() {
-  std::vector<std::pair<std::uint64_t, int>> order;
-  order.reserve(tenants_.size());
-  for (auto& [tenant, tq] : tenants_) {
-    if (tq.live == 0) continue;
-    clean_front(tq);
-    order.emplace_back(slots_[tq.handles.front()].seq, tenant);
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<int> out;
-  out.reserve(order.size());
-  for (const auto& [seq, tenant] : order) out.push_back(tenant);
-  return out;
+const InferenceRequest* RequestQueue::oldest() {
+  if (size_ == 0) return nullptr;
+  clean_front();
+  GLP_CHECK(!fifo_.empty());
+  return &slots_[fifo_.front()].req;
 }
 
 void RequestQueue::clean_heap() const {
@@ -105,17 +81,15 @@ std::vector<InferenceRequest> RequestQueue::expire(gpusim::SimTime now) {
     const DeadlineEntry top = deadlines_.top();
     deadlines_.pop();
     Slot& s = slots_[top.slot];
-    // Kill the slot but leave its tenant-deque handle in place; the
-    // handle is reclaimed lazily when the deque front reaches it.
+    // Kill the slot but leave its handle in `fifo_`; the handle is
+    // reclaimed lazily when the deque front reaches it.
     s.live = false;
-    TenantQ& tq = tenants_[s.req.tenant];
-    GLP_CHECK(tq.live > 0);
-    --tq.live;
+    GLP_CHECK(size_ > 0);
     --size_;
     dropped.push_back(std::move(s.req));
   }
-  // Heap pop order is (deadline, seq); cross-tenant deadline offsets can
-  // differ, so enforce arrival order explicitly.
+  // Heap pop order is (deadline, seq), and a request's deadline need not
+  // grow with its arrival, so enforce arrival order explicitly.
   std::sort(dropped.begin(), dropped.end(),
             [](const InferenceRequest& a, const InferenceRequest& b) {
               if (a.arrival_ns != b.arrival_ns) {
@@ -126,22 +100,17 @@ std::vector<InferenceRequest> RequestQueue::expire(gpusim::SimTime now) {
   return dropped;
 }
 
-std::vector<InferenceRequest> RequestQueue::pop(int tenant,
-                                                std::size_t max_n) {
+std::vector<InferenceRequest> RequestQueue::pop(std::size_t max_n) {
   std::vector<InferenceRequest> out;
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return out;
-  TenantQ& tq = it->second;
-  while (out.size() < max_n && tq.live > 0) {
-    clean_front(tq);
-    const std::uint32_t idx = tq.handles.front();
-    tq.handles.pop_front();
+  while (out.size() < max_n && size_ > 0) {
+    clean_front();
+    const std::uint32_t idx = fifo_.front();
+    fifo_.pop_front();
     Slot& s = slots_[idx];
     GLP_CHECK(s.live);
     s.live = false;
     out.push_back(std::move(s.req));
     recycle_slot(idx);
-    --tq.live;
     --size_;
   }
   return out;

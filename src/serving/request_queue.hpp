@@ -1,23 +1,22 @@
 #pragma once
-// Bounded FIFO request queue with admission control and deadline expiry.
-// The queue holds requests from every tenant in arrival order — the
-// DynamicBatcher is what carves per-tenant batches out of it; the queue
-// itself never reorders anything.
+// Bounded FIFO request queue with admission control and deadline expiry:
+// one tenant shard's backlog. Requests leave either from the front, in
+// arrival order, when the server cuts a batch, or at their deadline; the
+// queue itself never reorders anything.
 //
 // Internals are built for load, not just correctness: requests live in a
-// slot-map pool (stable indices, free-list reuse), each tenant keeps a
-// deque of handles to its own requests, and deadlines sit in a
-// lazily-invalidated min-heap. Expiry kills the slot but leaves the
-// tenant-deque handle in place; the handle is reclaimed (and the slot
-// recycled) when the deque front reaches it. That makes every hot
-// operation cheap, amortized over the requests that flow through:
+// slot-map pool (stable indices, free-list reuse), a deque of handles
+// keeps their arrival order, and deadlines sit in a lazily-invalidated
+// min-heap. Expiry kills the slot but leaves its handle in the deque; the
+// handle is reclaimed (and the slot recycled) when the deque front
+// reaches it. That makes every hot operation cheap, amortized over the
+// requests that flow through:
 //
 //   push                O(log n)   (heap insert when the request has a deadline)
-//   pop(tenant, n)      O(n_popped)
-//   count(tenant)       O(1)
+//   pop(n)              O(n_popped)
+//   oldest()            amortized O(1)
 //   next_deadline()     amortized O(log n)
 //   expire(now)         O(k log n) for k expired
-//   tenants_by_oldest() O(T log T) for T active tenants
 //
 // The seed implementation was a single std::deque with linear scans for
 // all of the above — quadratic under sustained load and unusable as the
@@ -27,7 +26,6 @@
 #include <deque>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "serving/request.hpp"
@@ -46,17 +44,8 @@ class RequestQueue {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Queued requests of `tenant`.
-  std::size_t count(int tenant) const;
-
-  /// Oldest queued request of `tenant`, or nullptr when it has none.
-  const InferenceRequest* oldest(int tenant);
-
-  /// Tenants with at least one queued request, ordered by the arrival of
-  /// their oldest request (insertion order breaks ties). This is the
-  /// batcher's iteration order: the first ready tenant is the one whose
-  /// batch has waited longest.
-  std::vector<int> tenants_by_oldest();
+  /// Oldest queued request, or nullptr when the queue is empty.
+  const InferenceRequest* oldest();
 
   /// Remove and return (in arrival order) every request whose deadline
   /// passed at `now`. Downgraded requests never expire.
@@ -65,19 +54,14 @@ class RequestQueue {
   /// Earliest pending deadline, or +infinity when none.
   gpusim::SimTime next_deadline() const;
 
-  /// Pop the oldest `max_n` requests of `tenant`, preserving their
-  /// relative order.
-  std::vector<InferenceRequest> pop(int tenant, std::size_t max_n);
+  /// Pop the oldest `max_n` requests, preserving their relative order.
+  std::vector<InferenceRequest> pop(std::size_t max_n);
 
  private:
   struct Slot {
     InferenceRequest req;
-    std::uint64_t seq = 0;  ///< global insertion order; 0 = slot free
+    std::uint64_t seq = 0;  ///< insertion order; 0 = slot free
     bool live = false;
-  };
-  struct TenantQ {
-    std::deque<std::uint32_t> handles;  ///< oldest first; may hold dead slots
-    std::size_t live = 0;
   };
   struct DeadlineEntry {
     gpusim::SimTime deadline = 0.0;
@@ -93,20 +77,20 @@ class RequestQueue {
   };
 
   std::uint32_t alloc_slot();
-  /// Return a slot to the free list. Only legal once no tenant-deque
-  /// handle references it any more.
+  /// Return a slot to the free list. Only legal once no handle in
+  /// `fifo_` references it any more.
   void recycle_slot(std::uint32_t idx);
-  /// Reclaim dead handles off the front of a tenant deque.
-  void clean_front(TenantQ& tq);
+  /// Reclaim dead handles off the front of `fifo_`.
+  void clean_front();
   /// Pop stale heap entries (request already popped or expired).
   void clean_heap() const;
 
   std::size_t capacity_;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  ///< live requests
   std::uint64_t next_seq_ = 1;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  std::unordered_map<int, TenantQ> tenants_;
+  std::deque<std::uint32_t> fifo_;  ///< oldest first; may hold dead slots
   /// Lazily-invalidated min-heap over requests that carry deadlines;
   /// mutable so next_deadline() can shed stale entries.
   mutable std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,

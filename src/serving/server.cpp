@@ -35,6 +35,7 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
     : ctx_(&ctx), opts_(std::move(opts)), models_(std::move(models)) {
   GLP_REQUIRE(!models_.empty(), "server needs at least one tenant model");
   GLP_REQUIRE(opts_.slots >= 1, "server needs at least one batch slot");
+  GLP_REQUIRE(opts_.batch.max_batch >= 1, "max_batch must be positive");
   GLP_REQUIRE(opts_.admission.headroom > 0.0, "admission headroom must be > 0");
   GLP_REQUIRE(opts_.admission.est_ewma > 0.0 && opts_.admission.est_ewma <= 1.0,
               "admission est_ewma must be in (0,1]");
@@ -88,16 +89,11 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
 }
 
 void InferenceServer::build_shards() {
-  const std::uint64_t stride = static_cast<std::uint64_t>(models_.size());
   shards_.clear();
   shards_.reserve(models_.size());
   for (std::size_t t = 0; t < models_.size(); ++t) {
     Shard sh;
     sh.queue = std::make_unique<RequestQueue>(opts_.queue_capacity);
-    // Strided batch ids keep ids globally unique across per-tenant
-    // batchers (shard t mints t, t+T, t+2T, ...).
-    sh.batcher = std::make_unique<DynamicBatcher>(
-        opts_.batch, static_cast<std::uint64_t>(t), stride);
     const TenantQos& qos = models_[t].qos;
     if (qos.rate_rps > 0.0) {
       const double burst = qos.burst > 0.0
@@ -127,8 +123,7 @@ void InferenceServer::prewarm() {
 
 void InferenceServer::warmup() {
   std::vector<int> sizes{1};
-  const int top =
-      opts_.batch.enabled ? replica_batch_for(opts_.batch.max_batch) : 1;
+  const int top = replica_batch_for(opts_.batch.max_batch);
   for (int b = 2; b <= top; b <<= 1) sizes.push_back(b);
   gpusim::DeviceEngine& dev = ctx_->device();
   for (int t = 0; t < tenants(); ++t) {
@@ -188,19 +183,23 @@ std::optional<Outcome> InferenceServer::admit(Shard& shard, InferenceRequest& r,
   return std::nullopt;
 }
 
-void InferenceServer::issue(Batch batch, gpusim::SimTime now) {
-  const int tenant = batch.tenant;
-  GLP_CHECK(tenant >= 0 && tenant < tenants());
+void InferenceServer::issue(int tenant, gpusim::SimTime now) {
   const int slot = tenant % opts_.slots;
   GLP_CHECK(!slot_busy_[static_cast<std::size_t>(slot)]);
+  Shard& shard = shards_[static_cast<std::size_t>(tenant)];
+  std::vector<InferenceRequest> requests =
+      shard.queue->pop(static_cast<std::size_t>(opts_.batch.max_batch));
+  GLP_CHECK(!requests.empty());
+  shard.inflight_reqs += requests.size();
 
   InferenceSession& sess = *sessions_[static_cast<std::size_t>(tenant)];
-  InferenceSession::Replica& r = sess.checkout(batch.size());
+  InferenceSession::Replica& r =
+      sess.checkout(static_cast<int>(requests.size()));
 
   std::vector<const float*> samples;
-  if (!batch.requests.front().input.empty()) {
-    samples.reserve(batch.requests.size());
-    for (const InferenceRequest& req : batch.requests) {
+  if (!requests.front().input.empty()) {
+    samples.reserve(requests.size());
+    for (const InferenceRequest& req : requests) {
       GLP_REQUIRE(req.input.size() == sess.sample_input_size(),
                   "request " << req.id << " input size " << req.input.size()
                              << " != model sample size "
@@ -224,7 +223,9 @@ void InferenceServer::issue(Batch batch, gpusim::SimTime now) {
   slot_busy_[static_cast<std::size_t>(slot)] = true;
   InFlight f;
   f.slot = slot;
-  f.batch = std::move(batch);
+  f.tenant = tenant;
+  f.batch_id = next_batch_id_++;
+  f.requests = std::move(requests);
   f.replica = &r;
   f.done = done;
   f.issue_ns = now;
@@ -240,9 +241,10 @@ bool InferenceServer::reap(std::vector<RequestRecord>& records) {
       continue;
     }
     const gpusim::SimTime completion = dev.event_time(it->done);
-    InferenceSession& sess = *sessions_[static_cast<std::size_t>(it->batch.tenant)];
-    for (std::size_t i = 0; i < it->batch.requests.size(); ++i) {
-      const InferenceRequest& req = it->batch.requests[i];
+    InferenceSession& sess = *sessions_[static_cast<std::size_t>(it->tenant)];
+    const std::size_t n = it->requests.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const InferenceRequest& req = it->requests[i];
       RequestRecord rec;
       rec.id = req.id;
       rec.tenant = req.tenant;
@@ -252,8 +254,8 @@ bool InferenceServer::reap(std::vector<RequestRecord>& records) {
       rec.downgraded = req.downgraded;
       rec.issue_ns = it->issue_ns - t0_;
       rec.completion_ns = completion - t0_;
-      rec.batch_id = it->batch.id;
-      rec.batch_size = it->batch.size();
+      rec.batch_id = it->batch_id;
+      rec.batch_size = static_cast<int>(n);
       if (opts_.keep_outputs && opts_.mode == kern::ComputeMode::kNumeric) {
         const float* out = sess.output_of(*it->replica, static_cast<int>(i));
         rec.output.assign(out, out + sess.sample_output_size());
@@ -261,12 +263,11 @@ bool InferenceServer::reap(std::vector<RequestRecord>& records) {
       records.push_back(std::move(rec));
     }
     // Feed the admission estimator: per-request service within this batch.
-    Shard& shard = shards_[static_cast<std::size_t>(it->batch.tenant)];
-    const std::size_t n = it->batch.requests.size();
+    Shard& shard = shards_[static_cast<std::size_t>(it->tenant)];
     GLP_CHECK(shard.inflight_reqs >= n);
     shard.inflight_reqs -= n;
     const double per_req =
-        (completion - it->issue_ns) / static_cast<double>(it->batch.size());
+        (completion - it->issue_ns) / static_cast<double>(n);
     shard.est_ns = shard.est_ns <= 0.0
                        ? per_req
                        : shard.est_ns +
@@ -279,10 +280,8 @@ bool InferenceServer::reap(std::vector<RequestRecord>& records) {
   return any;
 }
 
-gpusim::SimTime InferenceServer::earliest_completion(gpusim::SimTime from,
-                                                     gpusim::SimTime cap) {
+gpusim::SimTime InferenceServer::earliest_completion(gpusim::SimTime cap) {
   GLP_CHECK(!inflight_.empty());
-  (void)from;
   gpusim::DeviceEngine& dev = ctx_->device();
   // Step the device exactly event-by-event so it is never advanced past
   // the completion we report — overshooting would delay the start of
@@ -317,9 +316,6 @@ std::vector<RequestRecord> InferenceServer::replay(
     if (r.deadline_ns > 0.0) r.deadline_ns += t0_;
   }
 
-  const auto slot_free = [this](int tenant) {
-    return !slot_busy_[static_cast<std::size_t>(tenant % opts_.slots)];
-  };
   const auto pending = [this]() {
     for (const Shard& sh : shards_) {
       if (!sh.queue->empty()) return true;
@@ -371,28 +367,22 @@ std::vector<RequestRecord> InferenceServer::replay(
       }
     }
 
-    // Cut batches across shards, oldest pending head first, so a tenant
-    // that shares its slot never starves a longer-waiting peer.
-    for (bool formed = true; formed;) {
-      formed = false;
-      std::vector<std::pair<gpusim::SimTime, int>> order;
-      order.reserve(shards_.size());
-      for (int t = 0; t < tenants(); ++t) {
-        Shard& shard = shards_[static_cast<std::size_t>(t)];
-        if (const InferenceRequest* head = shard.queue->oldest(t)) {
-          order.emplace_back(head->arrival_ns, t);
-        }
+    // Cut batches in one pass, oldest queued request first, so a tenant
+    // that shares its slot never starves a longer-waiting peer. A cut
+    // occupies the slot until its batch completes, so no shard cuts twice.
+    std::vector<std::pair<gpusim::SimTime, int>> order;
+    order.reserve(shards_.size());
+    for (int t = 0; t < tenants(); ++t) {
+      if (const InferenceRequest* head =
+              shards_[static_cast<std::size_t>(t)].queue->oldest()) {
+        order.emplace_back(head->arrival_ns, t);
       }
-      std::sort(order.begin(), order.end());
-      for (const auto& [arrival, t] : order) {
-        Shard& shard = shards_[static_cast<std::size_t>(t)];
-        while (auto b = shard.batcher->try_form(*shard.queue, now, slot_free)) {
-          shard.inflight_reqs += b->requests.size();
-          issue(std::move(*b), now);
-          progressed = true;
-          formed = true;
-        }
-      }
+    }
+    std::sort(order.begin(), order.end());
+    for (const auto& [arrival, t] : order) {
+      if (slot_busy_[static_cast<std::size_t>(t % opts_.slots)]) continue;
+      issue(t, now);
+      progressed = true;
     }
 
     if (progressed) {
@@ -402,19 +392,17 @@ std::vector<RequestRecord> InferenceServer::replay(
     if (next >= trace.size() && !pending() && inflight_.empty()) break;
 
     // Next host wake-up: the earliest of (next arrival, next queue
-    // deadline, next batcher timeout, earliest in-flight completion).
+    // deadline, earliest in-flight completion).
     gpusim::SimTime next_t = kInf;
     if (next < trace.size()) next_t = std::min(next_t, trace[next].arrival_ns);
-    for (Shard& shard : shards_) {
+    for (const Shard& shard : shards_) {
       const gpusim::SimTime dl = shard.queue->next_deadline();
       if (dl > now) next_t = std::min(next_t, dl);
-      const gpusim::SimTime cut = shard.batcher->next_cut_ns(*shard.queue);
-      if (cut > now) next_t = std::min(next_t, cut);
     }
 
     gpusim::SimTime wake = next_t;
     if (!inflight_.empty()) {
-      const gpusim::SimTime comp = earliest_completion(now, next_t);
+      const gpusim::SimTime comp = earliest_completion(next_t);
       wake = std::min(wake, std::max(comp, now));
     }
     GLP_CHECK(wake < kInf);  // otherwise the queue can never drain
@@ -515,7 +503,7 @@ ServingStats InferenceServer::summarize(
   }
   // Distinct ids, not max+1: callers routinely summarize filtered record
   // sets (e.g. one tenant's slice of a replay) whose batch ids are
-  // sparse — and sharded batchers mint strided ids by design.
+  // sparse, and fleet merges interleave every device's ids.
   if (!all.batch_ids.empty()) {
     s.batches = all.batch_ids.size();
     s.mean_batch =

@@ -1,14 +1,14 @@
 #pragma once
 // InferenceServer: the multi-tenant serving front end. Owns one
 // InferenceSession per tenant model, one *shard* per tenant — a bounded
-// RequestQueue, a DynamicBatcher, a token-bucket QoS meter and a service
-// time estimate, so tenants never contend on a shared queue — and
-// `slots` concurrent in-flight batch slots, each a dedicated home
-// stream. Under the GLP4NN scheduler (DispatchPolicy::kTenantSliced)
-// every in-flight batch runs its per-sample scopes on a disjoint slice
-// of the stream pool and forks/joins against its slot's home stream, so
-// batches from different tenants overlap on the device; the serial
-// baseline funnels everything through the default stream.
+// RequestQueue, a token-bucket QoS meter and a service time estimate, so
+// tenants never contend on a shared queue — and `slots` concurrent
+// in-flight batch slots, each a dedicated home stream. Under the GLP4NN
+// scheduler (DispatchPolicy::kTenantSliced) every in-flight batch runs
+// its per-sample scopes on a disjoint slice of the stream pool and
+// forks/joins against its slot's home stream, so batches from different
+// tenants overlap on the device; the serial baseline funnels everything
+// through the default stream.
 //
 // Admission pipeline (per request, at enqueue time):
 //   1. token bucket — a tenant whose bucket is dry is over its contracted
@@ -23,26 +23,47 @@
 //   3. bounded queue — a full shard queue bounces the request
 //      (Outcome::kRejected).
 //
+// Batching is continuous (see BatchPolicy): the moment a tenant's slot
+// is free, the server cuts min(queued, max_batch) of its requests in
+// arrival order. Shards with a free slot cut oldest queued request
+// first, so a tenant sharing its slot never starves a longer-waiting
+// peer, and batch ids come from one server-wide counter.
+//
 // replay() is a deterministic single-threaded discrete-event loop over
 // simulated time: it admits trace arrivals, expires deadlines, cuts
-// batches (continuously or on the windowed policy — see BatchMode), and
-// uses DeviceEngine::advance_device_to lookahead to find batch
-// completions without disturbing the host clock. Identical inputs give
-// identical schedules, identical shed/downgrade decisions and
+// batches, and uses DeviceEngine::advance_device_to lookahead to find
+// batch completions without disturbing the host clock. Identical inputs
+// give identical schedules, identical shed/downgrade decisions and
 // bit-identical outputs.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/token_bucket.hpp"
 #include "core/glp4nn.hpp"
-#include "serving/batcher.hpp"
+#include "serving/request_queue.hpp"
 #include "serving/session.hpp"
 #include "serving/trace_gen.hpp"
 
 namespace serving {
+
+enum class BatchMode {
+  kContinuous,  ///< cut as soon as the slot frees; no delay window
+};
+
+/// Continuous batching, the server's one batching policy. There is no
+/// delay window: the in-flight time of a tenant's previous batch is the
+/// accumulation window, so under light load requests never idle in the
+/// queue and under heavy load batches grow as large as the backlog
+/// allows, up to `max_batch`. `max_batch = 1` serves every request as
+/// its own batch.
+struct BatchPolicy {
+  BatchMode mode = BatchMode::kContinuous;  ///< the only mode; selects nothing
+  int max_batch = 8;
+};
 
 /// Per-tenant rate contract for the admission token bucket.
 struct TenantQos {
@@ -165,7 +186,6 @@ class InferenceServer {
   /// One tenant's slice of the ingest path.
   struct Shard {
     std::unique_ptr<RequestQueue> queue;
-    std::unique_ptr<DynamicBatcher> batcher;
     glp::TokenBucket bucket;
     double est_ns = 0.0;           ///< EWMA per-request service estimate
     std::size_t inflight_reqs = 0;
@@ -173,7 +193,9 @@ class InferenceServer {
 
   struct InFlight {
     int slot = 0;
-    Batch batch;
+    int tenant = 0;
+    std::uint64_t batch_id = 0;
+    std::vector<InferenceRequest> requests;
     InferenceSession::Replica* replica = nullptr;
     gpusim::EventId done = 0;
     gpusim::SimTime issue_ns = 0.0;
@@ -185,9 +207,11 @@ class InferenceServer {
   /// requests, or nullopt when the request was enqueued.
   std::optional<Outcome> admit(Shard& shard, InferenceRequest& r,
                                gpusim::SimTime now);
-  void issue(Batch batch, gpusim::SimTime now);
+  /// Cut `tenant`'s next batch — its oldest max_batch queued requests —
+  /// and launch it on the tenant's slot, which must be free.
+  void issue(int tenant, gpusim::SimTime now);
   bool reap(std::vector<RequestRecord>& records);
-  gpusim::SimTime earliest_completion(gpusim::SimTime from, gpusim::SimTime cap);
+  gpusim::SimTime earliest_completion(gpusim::SimTime cap);
 
   scuda::Context* ctx_;
   ServerOptions opts_;
@@ -201,7 +225,8 @@ class InferenceServer {
   std::vector<scuda::Stream> homes_;  ///< one home stream per slot
   std::vector<bool> slot_busy_;
   std::vector<InFlight> inflight_;
-  bool warmed_ = false;       ///< prewarm/warmup already ran
+  std::uint64_t next_batch_id_ = 0;  ///< one id sequence across all shards
+  bool warmed_ = false;      ///< prewarm/warmup already ran
   gpusim::SimTime t0_ = 0.0;  ///< replay epoch (absolute sim time)
 };
 

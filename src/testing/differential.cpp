@@ -464,10 +464,10 @@ std::size_t sample_size_of(const mc::NetSpec& net) {
 }
 
 /// Replay the case's trace once: on the subject server (tenant-sliced
-/// scheduler, dynamic batching, optional lane coalescing, faults armed)
-/// or, when `scheduled` is false, on the serial batch-1 baseline (serial
-/// dispatch, batcher off, every request its own forward on the default
-/// stream).
+/// scheduler, batches of up to `max_batch`, optional lane coalescing,
+/// faults armed) or, when `scheduled` is false, on the serial batch-1
+/// baseline (serial dispatch, `max_batch = 1`: every request its own
+/// forward on the default stream).
 Output serve(const ServeCase& c, const DiffOptions& o, bool scheduled,
              gpusim::EngineKind engine, DiffResult* subject) {
   const bool engine_contract = o.contract == Contract::kEngine;
@@ -488,14 +488,11 @@ Output serve(const ServeCase& c, const DiffOptions& o, bool scheduled,
   opts.slots = c.slots;
   opts.queue_capacity = trace.size() + 1;
   opts.keep_outputs = true;
-  opts.batch.enabled = false;
+  opts.batch.max_batch = scheduled ? c.max_batch : 1;
   opts.use_scheduler = scheduled;
   opts.coalesce_lanes = scheduled && c.coalesce;
   opts.record_timeline = subject != nullptr || engine_contract;
-  if (scheduled) {
-    opts.batch = c.batch;
-    opts.scheduler = scheduler_options(opts.scheduler, o);
-  }
+  if (scheduled) opts.scheduler = scheduler_options(opts.scheduler, o);
   scuda::Context ctx(c.device, engine);
   if (scheduled) arm_faults(ctx, o.faults, c.seed);
   serving::InferenceServer server(ctx, models, opts);

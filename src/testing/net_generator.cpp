@@ -544,11 +544,7 @@ ServeCase make_serving_case(std::uint64_t seed, const NetGenOptions& options) {
   }
   c.device = random_device(rng);
 
-  c.batch.enabled = true;
-  c.batch.mode = chance(rng, 0.5) ? serving::BatchMode::kContinuous
-                                  : serving::BatchMode::kWindowed;
-  c.batch.max_batch = pick(rng, {2, 3, 4, 6, 8});
-  c.batch.max_delay_us = pick(rng, {200.0, 500.0, 1000.0, 2000.0});
+  c.max_batch = pick(rng, {2, 3, 4, 6, 8});
   c.coalesce = chance(rng, 0.5);
   c.slots = pick(rng, {1, 2, 4});
 
@@ -574,10 +570,8 @@ std::string ServeCase::summary() const {
   for (std::size_t t = 0; t < nets.size(); ++t) {
     os << (t ? "+" : "") << nets[t].layers.size();
   }
-  os << " layers) batch<=" << batch.max_batch << "/"
-     << static_cast<int>(batch.max_delay_us) << "us "
-     << serving::batch_mode_name(batch.mode)
-     << (coalesce ? "+coalesce" : "") << " slots=" << slots
+  os << " layers) batch<=" << max_batch << (coalesce ? " +coalesce" : "")
+     << " slots=" << slots
      << " trace=" << trace.requests << "@"
      << static_cast<int>(trace.rate_rps) << "rps/"
      << serving::arrival_name(trace.arrival) << " device=" << device.name

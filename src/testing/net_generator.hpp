@@ -17,7 +17,6 @@
 #include "core/runtime_scheduler.hpp"
 #include "gpusim/device_props.hpp"
 #include "minicaffe/net.hpp"
-#include "serving/batcher.hpp"
 #include "serving/trace_gen.hpp"
 
 namespace glpfuzz {
@@ -102,8 +101,8 @@ struct ServeCase {
   std::uint64_t seed = 0;
   std::vector<mc::NetSpec> nets;  ///< one tenant per net (1 or 2)
   gpusim::DeviceProps device;
-  serving::BatchPolicy batch;  ///< subject-side batching policy (mode too)
-  bool coalesce = false;       ///< subject-side lane coalescing
+  int max_batch = 8;     ///< subject-side batch size cap
+  bool coalesce = false;  ///< subject-side lane coalescing
   int slots = 2;
   serving::TraceSpec trace;
 
@@ -111,7 +110,7 @@ struct ServeCase {
 };
 
 /// Sample a complete serving case from a seed: random inference nets
-/// (see random_inference_net), a random device, a random batching policy
+/// (see random_inference_net), a random device, a random batch size cap
 /// and a short random open-loop trace.
 ServeCase make_serving_case(std::uint64_t seed,
                             const NetGenOptions& options = {});

@@ -416,6 +416,44 @@ TEST(FleetServer, UnhealthyDeviceReceivesNoTraffic) {
   }
 }
 
+TEST(FleetServer, SummaryCountsEveryDevicesBatches) {
+  // Every device server numbers its batches from 0; the merged records
+  // must keep them apart, or summarize() folds different devices'
+  // batches together and undercounts.
+  serving::TraceSpec ts;
+  ts.requests = 400;
+  ts.rate_rps = 20000.0;
+  ts.tenants = 2;
+  ts.seed = glptest::test_seed(25);
+  ts.fill_inputs = false;
+  GLP_SCOPED_SEED(ts.seed);
+  scuda::Fleet fleet = scuda::Fleet::homogeneous(3, gpusim::DeviceTable::p100());
+  serving::FleetServerOptions opts;
+  opts.replicas = 2;
+  opts.server.mode = kern::ComputeMode::kTimingOnly;
+  serving::FleetServer server(fleet, fleet_tenants(), opts);
+  const auto records =
+      server.replay(serving::make_trace(ts, input_sizes(fleet_tenants())));
+
+  const std::map<std::uint64_t, int> device_of(server.last_routes().begin(),
+                                               server.last_routes().end());
+  std::vector<std::vector<serving::RequestRecord>> per_device(
+      static_cast<std::size_t>(server.devices()));
+  for (const auto& r : records) {
+    per_device[static_cast<std::size_t>(device_of.at(r.id))].push_back(r);
+  }
+  std::uint64_t device_batches = 0;
+  int busy_devices = 0;
+  for (const auto& recs : per_device) {
+    if (recs.empty()) continue;
+    ++busy_devices;
+    device_batches += serving::InferenceServer::summarize(recs).batches;
+  }
+  ASSERT_GT(busy_devices, 1);
+  EXPECT_EQ(serving::InferenceServer::summarize(records).batches,
+            device_batches);
+}
+
 TEST(FleetServer, ThrowsWhenATenantLosesEveryReplica) {
   const std::uint64_t seed = glptest::test_seed(24);
   GLP_SCOPED_SEED(seed);

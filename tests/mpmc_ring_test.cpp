@@ -1,4 +1,4 @@
-// glp::MpmcRing (the lock-free producer→batcher handoff) and
+// glp::MpmcRing (the lock-free producer→server handoff) and
 // glp::TokenBucket (the deterministic QoS meter): single-threaded FIFO
 // semantics, full/empty edges, lap wrap-around, and — the part a
 // single-threaded test cannot fake — multi-producer/multi-consumer

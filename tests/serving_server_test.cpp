@@ -1,9 +1,9 @@
 // End-to-end InferenceServer tests on short deterministic traces: the
 // replay loop serves everything it admits, stats are self-consistent,
-// deadlines expire, admission control bounces overload, tenant tags land
-// in the simulated timeline, completions never reorder within a tenant,
-// and the tenant-sliced scheduler beats serial dispatch at saturating
-// load (the ISSUE acceptance shape, in miniature).
+// batches are cut by the continuous-batching rules, deadlines expire,
+// admission control bounces overload, tenant tags land in the simulated
+// timeline, completions never reorder within a tenant, and the
+// tenant-sliced scheduler beats serial dispatch at saturating load.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,41 @@ std::vector<std::size_t> sizes_of(const std::vector<serving::TenantModel>& model
     sizes.push_back(static_cast<std::size_t>(d.channels) * d.height * d.width);
   }
   return sizes;
+}
+
+/// A hand-built timing-only request (no input payload).
+serving::InferenceRequest at(std::uint64_t id, int tenant, double arrival_ns) {
+  serving::InferenceRequest r;
+  r.id = id;
+  r.tenant = tenant;
+  r.arrival_ns = arrival_ns;
+  return r;
+}
+
+/// Replay `trace` on a timing-only P100 server; returns the records
+/// indexed by request id (every request must be served).
+std::vector<serving::RequestRecord> replay_by_id(
+    std::vector<serving::TenantModel> models,
+    std::vector<serving::InferenceRequest> trace, int max_batch, int slots) {
+  scuda::Context ctx(gpusim::DeviceTable::p100());
+  serving::ServerOptions opts;
+  opts.mode = kern::ComputeMode::kTimingOnly;
+  opts.batch.max_batch = max_batch;
+  opts.slots = slots;
+  serving::InferenceServer server(ctx, std::move(models), opts);
+  std::vector<serving::RequestRecord> by_id(trace.size());
+  for (auto& r : server.replay(std::move(trace))) {
+    EXPECT_EQ(r.outcome, serving::Outcome::kServed) << "request " << r.id;
+    by_id.at(r.id) = std::move(r);
+  }
+  return by_id;
+}
+
+std::vector<serving::TenantModel> one_tenant() {
+  serving::TenantModel m;
+  m.name = "tiny_cnn";
+  m.spec = serving::tiny_cnn(1);
+  return {std::move(m)};
 }
 
 TEST(InferenceServer, ServesEveryAdmittedRequest) {
@@ -416,25 +451,76 @@ TEST(InferenceServer, ContinuousBatchingServesEverythingWithoutWindows) {
   GLP_SCOPED_SEED(ts.seed);
   const auto trace = serving::make_trace(ts, sizes_of(models));
 
-  const auto run = [&](serving::BatchMode mode) {
-    scuda::Context ctx(gpusim::DeviceTable::p100());
-    serving::ServerOptions opts;
-    opts.mode = kern::ComputeMode::kTimingOnly;
-    opts.queue_capacity = 256;
-    opts.batch.mode = mode;
-    serving::InferenceServer server(ctx, models, opts);
-    return serving::InferenceServer::summarize(server.replay(trace));
-  };
-
-  const auto windowed = run(serving::BatchMode::kWindowed);
-  const auto continuous = run(serving::BatchMode::kContinuous);
+  scuda::Context ctx(gpusim::DeviceTable::p100());
+  serving::ServerOptions opts;
+  opts.mode = kern::ComputeMode::kTimingOnly;
+  opts.queue_capacity = 256;
+  serving::InferenceServer server(ctx, models, opts);
+  const auto continuous = serving::InferenceServer::summarize(server.replay(trace));
   ASSERT_EQ(continuous.served, trace.size());
-  ASSERT_EQ(windowed.served, trace.size());
   EXPECT_GE(continuous.mean_batch, 1.0);
-  // Without an artificial delay window, no request waits longer than it
-  // would under the windowed policy at this load.
-  EXPECT_LE(continuous.p99_ms, windowed.p99_ms);
-  EXPECT_LE(continuous.mean_ms, windowed.mean_ms);
+}
+
+TEST(InferenceServer, RejectsNonPositiveMaxBatch) {
+  scuda::Context ctx(gpusim::DeviceTable::p100());
+  serving::ServerOptions opts;
+  opts.batch.max_batch = 0;
+  EXPECT_THROW(serving::InferenceServer(ctx, two_tenants(), opts), glp::Error);
+}
+
+// --- continuous-batching cut rules ------------------------------------------
+
+TEST(BatchCut, BacklogIsCutIntoMaxBatchSizedBatchesInArrivalOrder) {
+  // Ten requests queued at once, max_batch 4: the slot takes 4, then 4,
+  // then the remaining 2, each cut as the previous batch frees the slot.
+  std::vector<serving::InferenceRequest> trace;
+  for (std::uint64_t i = 0; i < 10; ++i) trace.push_back(at(i, 0, 0.0));
+  const auto recs = replay_by_id(one_tenant(), trace, /*max_batch=*/4, 1);
+
+  const std::vector<int> want_size{4, 4, 4, 4, 4, 4, 4, 4, 2, 2};
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].batch_size, want_size[i]) << "request " << i;
+    const std::size_t head = i - i % 4;  // first request of i's batch
+    EXPECT_EQ(recs[i].batch_id, recs[head].batch_id) << "request " << i;
+    EXPECT_EQ(recs[i].issue_ns, recs[head].issue_ns) << "request " << i;
+  }
+  EXPECT_EQ(recs[0].issue_ns, 0.0);  // the first cut does not wait
+  for (const std::size_t head : {4, 8}) {
+    EXPECT_NE(recs[head].batch_id, recs[head - 4].batch_id);
+    EXPECT_GE(recs[head].issue_ns, recs[head - 4].completion_ns)
+        << "batch at request " << head << " issued on a busy slot";
+  }
+}
+
+TEST(BatchCut, OldestTenantIssuesFirstOnASharedSlot) {
+  // One slot for two tenants. Request 0 (tenant 0) occupies it; request 1
+  // (tenant 1) and request 2 (tenant 0) queue behind it. When the slot
+  // frees, tenant 1's oldest request arrived first, so it cuts first
+  // although tenant 0 has the lower index.
+  const auto recs = replay_by_id(
+      two_tenants(), {at(0, 0, 0.0), at(1, 1, 1.0), at(2, 0, 2.0)},
+      /*max_batch=*/8, /*slots=*/1);
+  EXPECT_EQ(recs[0].issue_ns, 0.0);
+  EXPECT_GE(recs[1].issue_ns, recs[0].completion_ns);
+  EXPECT_GE(recs[2].issue_ns, recs[1].completion_ns)
+      << "tenant 0 cut before tenant 1's older request";
+  for (const auto& r : recs) EXPECT_EQ(r.batch_size, 1);
+}
+
+TEST(BatchCut, BusySlotKeepsRequestsQueuedInOrder) {
+  // Request 0 is cut alone; 1-3 arrive while its batch is in flight, stay
+  // queued, and the next cut takes all three at once, in arrival order.
+  const auto recs = replay_by_id(
+      one_tenant(), {at(0, 0, 0.0), at(1, 0, 1.0), at(2, 0, 2.0), at(3, 0, 3.0)},
+      /*max_batch=*/8, 1);
+  EXPECT_EQ(recs[0].batch_size, 1);
+  EXPECT_GE(recs[1].issue_ns, recs[0].completion_ns);
+  for (std::size_t i = 1; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].batch_size, 3) << "request " << i;
+    EXPECT_EQ(recs[i].batch_id, recs[1].batch_id) << "request " << i;
+    EXPECT_EQ(recs[i].issue_ns, recs[1].issue_ns) << "request " << i;
+  }
+  EXPECT_NE(recs[1].batch_id, recs[0].batch_id);
 }
 
 // The acceptance-criterion shape, small enough for CI: at saturating

@@ -123,7 +123,7 @@ TEST(InferenceSession, CheckoutReusesIdleReplicas) {
 
 // The session-level determinism contract: one batched forward produces,
 // slot for slot, the same bits as independent batch-1 forwards of the
-// same samples. This is what lets the batcher ride on the PR-1
+// same samples. This is what lets batching ride on the
 // convergence-invariance story.
 TEST(InferenceSession, BatchedForwardMatchesBatchOneBitExact) {
   SessionEnv env;

@@ -3,7 +3,7 @@
 //
 //   glp4nn_serve --requests 1000 --rate 2000
 //   glp4nn_serve --models tiny_cnn,mlp --arrival flash_crowd --compare
-//   glp4nn_serve --batch-mode continuous --rate 100000 --requests 20000
+//   glp4nn_serve --max-batch 64 --rate 100000 --requests 20000
 //   glp4nn_serve --slo-aware --deadline-ms 5 --qos 2000:4,0
 //   glp4nn_serve --ingest-threads 4 --rate 50000
 //
@@ -11,7 +11,11 @@
 // serial baseline — and both result lines are printed for a side-by-side
 // read (the scheduler should win on p99 and throughput).
 //
-// --ingest-threads N exercises the lock-free MPMC producer→batcher
+// Batching is continuous: the moment a tenant's slot frees, the server
+// cuts up to --max-batch of its queued requests (--max-batch 1 serves
+// every request on its own).
+//
+// --ingest-threads N exercises the lock-free MPMC producer→server
 // handoff for real: N wall-clock producer threads push the trace through
 // a bounded glp::MpmcRing, the drain side verifies nothing was lost or
 // duplicated, and the drained trace is then replayed deterministically on
@@ -130,16 +134,16 @@ std::vector<serving::InferenceRequest> mpmc_ingest(
 int main(int argc, char** argv) {
   std::string models_csv = "tiny_cnn,small_cnn";
   std::string device = "P100", mode = "glp4nn", arrival = "poisson";
-  std::string batch_mode = "windowed", qos_csv;
+  std::string qos_csv;
   std::string trace_path, json_path;
   int requests = 1000, max_batch = 8, slots = 4, queue_cap = 64;
   int ingest_threads = 0;
   int fleet_devices = 1, replicas = 1;
   std::vector<std::string> device_gens;
-  double rate = 2000.0, max_delay_us = 2000.0, deadline_ms = 0.0;
+  double rate = 2000.0, deadline_ms = 0.0;
   double headroom = 1.2;
   unsigned long long seed = 42;
-  bool no_batching = false, timing_only = false, compare = false;
+  bool timing_only = false, compare = false;
   bool no_coalesce = false, slo_aware = false, downgrade = false;
 
   glp::Flags flags("glp4nn_serve",
@@ -155,10 +159,9 @@ int main(int argc, char** argv) {
       .opt("arrival", &arrival,
            "poisson|bursty|uniform|diurnal|flash_crowd|heavy_tail|adversarial")
       .opt("deadline-ms", &deadline_ms, "per-request deadline (0 = none)")
-      .opt("batch-mode", &batch_mode, "windowed|continuous")
-      .opt("max-batch", &max_batch, "dynamic batcher size cap")
-      .opt("max-delay-us", &max_delay_us, "batcher delay cap (windowed mode)")
-      .flag("no-batching", &no_batching, "disable the dynamic batcher")
+      .opt("max-batch", &max_batch,
+           "batch size cap: a free slot cuts up to this many queued requests "
+           "(1 = no batching)")
       .flag("no-coalesce", &no_coalesce, "disable lane coalescing")
       .flag("slo-aware", &slo_aware,
             "shed provably-late requests at admission")
@@ -268,14 +271,7 @@ int main(int argc, char** argv) {
     }
 
     serving::ServerOptions base;
-    base.batch.enabled = !no_batching;
-    if (batch_mode == "continuous") {
-      base.batch.mode = serving::BatchMode::kContinuous;
-    } else if (batch_mode != "windowed") {
-      fail(flags, "unknown batch mode '" + batch_mode + "'");
-    }
     base.batch.max_batch = max_batch;
-    base.batch.max_delay_us = max_delay_us;
     base.coalesce_lanes = !no_coalesce;
     base.admission.slo_aware = slo_aware;
     base.admission.downgrade = downgrade;
@@ -288,16 +284,15 @@ int main(int argc, char** argv) {
     if (fleet_mode) {
       std::printf("serving %zu tenant(s) [%s] on a %d-device %s fleet "
                   "(%d replica(s) per tenant): %d requests @ %.0f req/s "
-                  "(%s arrivals, %s batching)\n",
+                  "(%s arrivals, max batch %d)\n",
                   models.size(), models_csv.c_str(), fleet_devices,
                   fleet_props.front().name.c_str(), replicas, requests, rate,
-                  arrival.c_str(), serving::batch_mode_name(base.batch.mode));
+                  arrival.c_str(), max_batch);
     } else {
       std::printf("serving %zu tenant(s) [%s] on %s: %d requests @ %.0f req/s "
-                  "(%s arrivals, %s batching)\n",
+                  "(%s arrivals, max batch %d)\n",
                   models.size(), models_csv.c_str(), props->name.c_str(),
-                  requests, rate, arrival.c_str(),
-                  serving::batch_mode_name(base.batch.mode));
+                  requests, rate, arrival.c_str(), max_batch);
     }
 
     std::vector<std::size_t> sizes;
@@ -381,8 +376,7 @@ int main(int argc, char** argv) {
            << ", \"throughput_rps\": " << s.throughput_rps
            << ", \"batches\": " << s.batches
            << ", \"mean_batch\": " << s.mean_batch
-           << ", \"batch_mode\": \"" << serving::batch_mode_name(base.batch.mode)
-           << "\", \"arenas\": " << r.replicas << ", \"tenants\": [";
+           << ", \"arenas\": " << r.replicas << ", \"tenants\": [";
         for (std::size_t i = 0; i < s.tenants.size(); ++i) {
           const serving::TenantStats& t = s.tenants[i];
           os << (i ? ", " : "") << "{\"tenant\": " << t.tenant
