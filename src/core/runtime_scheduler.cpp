@@ -5,9 +5,34 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
-#include "core/task_graph.hpp"
 
 namespace glp4nn {
+
+namespace {
+
+/// Dense transitive closure: reach[a][b] is true iff a == b or there is a
+/// directed path a → b. Quadratic memory — DAGs here are layer graphs
+/// (tens of nodes), not kernel graphs.
+std::vector<std::vector<bool>> reachability(
+    const std::vector<std::vector<int>>& deps) {
+  // reach[a][b]: path a → b (b depends, transitively, on a). Nodes are in
+  // topological order, so one forward sweep accumulating each node's
+  // ancestor rows suffices.
+  const std::size_t n = deps.size();
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t b = 0; b < n; ++b) {
+    reach[b][b] = true;
+    for (int dep : deps[b]) {
+      const auto a = static_cast<std::size_t>(dep);
+      for (std::size_t r = 0; r <= a; ++r) {
+        if (reach[r][a]) reach[r][b] = true;
+      }
+    }
+  }
+  return reach;
+}
+
+}  // namespace
 
 RuntimeScheduler::RuntimeScheduler(scuda::Context& ctx, ResourceTracker& tracker,
                                    KernelAnalyzer& analyzer,
@@ -295,8 +320,11 @@ std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(
   for (std::size_t i = 0; i < n; ++i) {
     deps[i] = ops[i].deps;
     std::sort(deps[i].begin(), deps[i].end());
+    for (int dep : deps[i]) {
+      GLP_REQUIRE(dep >= 0 && static_cast<std::size_t>(dep) < i,
+                  "op " << i << " depends on unknown/later op " << dep);
+    }
   }
-  task_consumers(deps);  // validates every edge points backwards
 
   // 1. Chain decomposition: an op joins its highest-indexed dependency's
   // chain when it is the first op to extend it (same-chain edges ride
@@ -323,7 +351,7 @@ std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(
   // 2. Which chains can overlap in time? Two ops are concurrent iff
   // neither reaches the other; two chains conflict iff any of their ops
   // are concurrent.
-  const std::vector<std::vector<bool>> reach = task_reachability(deps);
+  const std::vector<std::vector<bool>> reach = reachability(deps);
   std::vector<std::vector<int>> chain_ops(
       static_cast<std::size_t>(num_chains));
   for (std::size_t i = 0; i < n; ++i) {

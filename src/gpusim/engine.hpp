@@ -207,7 +207,6 @@ class DeviceEngine {
   /// stamped with it, and the tag is copied into the kernel/copy records
   /// (timeline, simcupti, chrome traces). -1 means untagged.
   void set_current_tenant(int tenant) { current_tenant_ = tenant; }
-  int current_tenant() const { return current_tenant_; }
 
   /// Convert an analytic cost into total work in thread-cycles via the
   /// device roofline (exposed for tests and the analyzer).

@@ -38,11 +38,6 @@ struct ExecContext {
   /// NetDag that overlaps independent layer ops (inception branches) on
   /// concurrent stream chains instead of issuing layers serially.
   bool dag_schedule = false;
-  /// Elementwise-chain fusion pass of the DAG scheduler: absorb in-place
-  /// activations into the producing GEMM (ReLU epilogue) and coalesce
-  /// runs of single-launch elementwise layers into one launch. Only read
-  /// when dag_schedule is set.
-  bool dag_fusion = true;
   /// Launch staging (see kern::Stager), armed by the NetDag fusion pass
   /// around a coalesced elementwise chain, or by a
   /// kern::CoalescingDispatcher inside coalescable scopes. Layers stay

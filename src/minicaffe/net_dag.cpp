@@ -137,7 +137,6 @@ void NetDag::build_pass(Pass& pass, bool backward) {
 
 void NetDag::plan_fusion(Pass& pass) {
   const ExecContext& ec = *net_->ec_;
-  if (!ec.dag_fusion) return;
   std::vector<Op>& ops = pass.ops;
   const int n = static_cast<int>(ops.size());
 

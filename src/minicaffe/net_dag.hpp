@@ -14,8 +14,8 @@
 // therefore conflict-serializable to the serial schedule and the math is
 // bit-identical.
 //
-// The fusion pass (ExecContext::dag_fusion) additionally cuts simulated
-// launch overhead without changing numerics:
+// The forward pass's fusion step additionally cuts simulated launch
+// overhead without changing numerics:
 //  * ReLU epilogue: an in-place ReLU whose only dependency is the
 //    producing Convolution / InnerProduct GEMM is absorbed into that
 //    GEMM's launch (the layer applies the identical elementwise math as
@@ -62,9 +62,13 @@ class NetDag {
     bool needs_event = false;  ///< a cross-stream consumer waits on us
   };
 
-  /// Executable-op view for timeline schedule checking: one entry per op
-  /// that actually issues kernels, with deps remapped into this list.
-  /// Kernels belonging to the op carry names starting with `prefix + "/"`.
+  /// Executable-op view for timeline schedule checking
+  /// (glpfuzz::check_op_schedule): one entry per op that actually issues
+  /// kernels. A kernel belongs to the op when its name equals `prefix` or
+  /// starts with `prefix + "/"`; fused-chain kernels carry the head op's
+  /// prefix, and a ReLU absorbed as a GEMM epilogue contributes no
+  /// kernels of its own (its span is vacuously ordered). `deps` index
+  /// earlier entries of the same vector.
   struct ScheduledOp {
     std::string prefix;
     gpusim::StreamId stream = gpusim::kDefaultStream;

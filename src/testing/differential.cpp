@@ -203,16 +203,6 @@ void audit_races(DiffResult& r, const gpusim::Timeline& timeline,
   r.fail(os.str());
 }
 
-std::vector<ScheduledOp> to_checker_ops(
-    const std::vector<mc::NetDag::ScheduledOp>& in) {
-  std::vector<ScheduledOp> out;
-  out.reserve(in.size());
-  for (const mc::NetDag::ScheduledOp& op : in) {
-    out.push_back(ScheduledOp{op.prefix, op.stream, op.deps});
-  }
-  return out;
-}
-
 /// How a single-device training run issues its kernels.
 enum class Dispatch { kSerial, kChain, kDag };
 
@@ -267,13 +257,11 @@ Output train(const FuzzCase& c, const DiffOptions& o, Dispatch how,
   tl.clear();
   net.forward();
   ctx.device().synchronize();
-  r.forward_schedule =
-      check_op_schedule(tl, to_checker_ops(net.dag()->forward_schedule()));
+  r.forward_schedule = check_op_schedule(tl, net.dag()->forward_schedule());
   tl.clear();
   net.backward();
   ctx.device().synchronize();
-  r.backward_schedule =
-      check_op_schedule(tl, to_checker_ops(net.dag()->backward_schedule()));
+  r.backward_schedule = check_op_schedule(tl, net.dag()->backward_schedule());
   if (!r.forward_schedule.clean()) {
     r.fail("forward op-schedule violated: " +
            r.forward_schedule.violations.front().detail);

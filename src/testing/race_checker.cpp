@@ -181,8 +181,9 @@ std::string OpScheduleReport::to_string() const {
   return os.str();
 }
 
-OpScheduleReport check_op_schedule(const gpusim::Timeline& timeline,
-                                   const std::vector<ScheduledOp>& ops) {
+OpScheduleReport check_op_schedule(
+    const gpusim::Timeline& timeline,
+    const std::vector<mc::NetDag::ScheduledOp>& ops) {
   OpScheduleReport report;
 
   // Attribute every kernel to the (single) op whose prefix it carries.

@@ -34,6 +34,7 @@
 #include "gpusim/interconnect.hpp"
 #include "gpusim/timeline.hpp"
 #include "gpusim/trace_export.hpp"
+#include "minicaffe/net_dag.hpp"
 
 namespace glpfuzz {
 
@@ -81,17 +82,6 @@ RaceReport check_timeline(const gpusim::Timeline& timeline,
 /// One Chrome-trace instant marker per violation, for visual triage.
 std::vector<gpusim::TraceMarker> violation_markers(const RaceReport& report);
 
-/// One node of the op DAG a timeline is checked against. A kernel belongs
-/// to the op when its name equals `prefix` or starts with `prefix + "/"`
-/// (fused-chain kernels carry the head op's prefix; a ReLU absorbed as a
-/// GEMM epilogue contributes no kernels of its own and its span is
-/// vacuously ordered). `deps` index earlier entries of the same vector.
-struct ScheduledOp {
-  std::string prefix;
-  gpusim::StreamId stream = gpusim::kDefaultStream;
-  std::vector<int> deps;
-};
-
 struct OpScheduleReport {
   std::vector<RaceViolation> violations;
   std::size_t ops_matched = 0;  ///< ops with at least one kernel on the trace
@@ -104,14 +94,16 @@ struct OpScheduleReport {
   std::string to_string() const;
 };
 
-/// Check a DAG-scheduled run: for every edge producer -> consumer, every
-/// consumer kernel must start at or after every producer kernel ended
-/// (regardless of which stream a kernel landed on — launch faults reroute
-/// kernels to the default stream, which is still ordering-safe). Ops with
-/// no kernels on the trace (data layers, absorbed/fused members) pass
-/// vacuously.
-OpScheduleReport check_op_schedule(const gpusim::Timeline& timeline,
-                                   const std::vector<ScheduledOp>& ops);
+/// Check a DAG-scheduled run against its op DAG (see
+/// mc::NetDag::ScheduledOp for how kernels map to ops): for every edge
+/// producer -> consumer, every consumer kernel must start at or after
+/// every producer kernel ended (regardless of which stream a kernel
+/// landed on — launch faults reroute kernels to the default stream, which
+/// is still ordering-safe). Ops with no kernels on the trace (data
+/// layers, absorbed/fused members) pass vacuously.
+OpScheduleReport check_op_schedule(
+    const gpusim::Timeline& timeline,
+    const std::vector<mc::NetDag::ScheduledOp>& ops);
 
 struct FleetTransferReport {
   std::vector<RaceViolation> violations;

@@ -134,24 +134,6 @@ TEST(ConvergenceInvariance, GoogLeNetDagBitIdenticalUnderBothEngines) {
   }
 }
 
-TEST(ConvergenceInvariance, DagFusionOffStillBitIdentical) {
-  // dag_fusion=false isolates the scheduling change from the fusion pass:
-  // plain DAG issue (no epilogues, no coalesced chains) must also match.
-  Env serial;
-  std::vector<float> serial_losses;
-  const auto serial_w = train_and_snapshot(
-      serial.ec, mc::models::googlenet_tail(8), 2, &serial_losses);
-
-  GlpEnv glp;
-  glp.ec.dag_schedule = true;
-  glp.ec.dag_fusion = false;
-  std::vector<float> dag_losses;
-  const auto dag_w = train_and_snapshot(
-      glp.ec, mc::models::googlenet_tail(8), 2, &dag_losses);
-  EXPECT_EQ(serial_losses, dag_losses);
-  EXPECT_EQ(glptest::max_abs_diff(serial_w, dag_w), 0.0);
-}
-
 TEST(Determinism, Glp4nnRunsAreRepeatable) {
   auto run = [] {
     GlpEnv glp;

@@ -154,7 +154,7 @@ TEST(RaceChecker, OpScheduleAcceptsConcurrentSiblingBranches) {
   t.add_kernel(named_kernel("b/fwd/k0", 2, 1, 100, 200));
   t.add_kernel(named_kernel("c/fwd/k0", 3, 2, 100, 210));
   t.add_kernel(named_kernel("d/fwd/k0", 4, 1, 210, 300));
-  const std::vector<glpfuzz::ScheduledOp> ops = {
+  const std::vector<mc::NetDag::ScheduledOp> ops = {
       {"a/fwd", 1, {}},
       {"b/fwd", 1, {0}},
       {"c/fwd", 2, {0}},
@@ -172,7 +172,7 @@ TEST(RaceChecker, OpScheduleFlagsConsumerStartingBeforeProducerEnded) {
   t.set_enabled(true);
   t.add_kernel(named_kernel("a/fwd/k0", 1, 1, 0, 100));
   t.add_kernel(named_kernel("b/fwd/k0", 2, 2, 50, 150));  // a -> b violated
-  const std::vector<glpfuzz::ScheduledOp> ops = {
+  const std::vector<mc::NetDag::ScheduledOp> ops = {
       {"a/fwd", 1, {}},
       {"b/fwd", 2, {0}},
   };
@@ -191,7 +191,7 @@ TEST(RaceChecker, OpScheduleKernellessOpsPassVacuously) {
   t.add_kernel(named_kernel("a/fwd/k0", 1, 1, 0, 100));
   t.add_kernel(named_kernel("a/fwd/k1", 2, 2, 10, 120));
   t.add_kernel(named_kernel("c/fwd/k0", 3, 1, 120, 200));
-  const std::vector<glpfuzz::ScheduledOp> ops = {
+  const std::vector<mc::NetDag::ScheduledOp> ops = {
       {"a/fwd", 1, {}},
       {"b/fwd", 1, {0}},  // no kernels on the trace
       {"c/fwd", 1, {0, 1}},
@@ -208,7 +208,7 @@ TEST(RaceChecker, OpSchedulePrefixMatchRespectsBoundaries) {
   t.set_enabled(true);
   t.add_kernel(named_kernel("conv10/fwd/k0", 1, 1, 0, 100));
   t.add_kernel(named_kernel("conv1/fwd/k0", 2, 1, 100, 200));
-  const std::vector<glpfuzz::ScheduledOp> ops = {
+  const std::vector<mc::NetDag::ScheduledOp> ops = {
       {"conv1/fwd", 1, {}},
   };
   const glpfuzz::OpScheduleReport report = glpfuzz::check_op_schedule(t, ops);

@@ -1,4 +1,6 @@
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -246,6 +248,67 @@ TEST_F(SchedulerTest, TenantSlicesDisjointAcrossDifferingDecisions) {
   for (gpusim::StreamId a : slot0_light) {
     EXPECT_EQ(slot1_heavy.count(a), 0u)
         << "stream " << a << " shared between concurrent batch slots";
+  }
+}
+
+TEST_F(SchedulerTest, PlanDagRejectsForwardAndUnknownDeps) {
+  RuntimeScheduler& s = scheduler();
+  // A dep must name an earlier op: self, later, unknown and negative
+  // deps are all rejected.
+  const std::vector<std::vector<kern::DagOp>> bad = {
+      {{"a", {0}}},
+      {{"a", {1}}, {"b", {}}},
+      {{"a", {}}, {"b", {5}}},
+      {{"a", {}}, {"b", {-1}}},
+  };
+  for (const std::vector<kern::DagOp>& ops : bad) {
+    EXPECT_THROW(s.plan_dag(ops), glp::InvalidArgument);
+  }
+  const std::vector<kern::DagPlacement> chain =
+      s.plan_dag({{"a", {}}, {"b", {0}}});
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_EQ(chain[1].chain, chain[0].chain);
+  EXPECT_EQ(chain[1].stream, chain[0].stream);
+}
+
+TEST_F(SchedulerTest, PlanDagSeparatesOnlyConcurrentBranches) {
+  // a -> {b, c} -> d -> e: only b and c can overlap in time.
+  RuntimeScheduler& s = scheduler();
+  const std::vector<kern::DagPlacement> p = s.plan_dag(
+      {{"a", {}}, {"b", {0}}, {"c", {0}}, {"d", {1, 2}}, {"e", {3}}});
+  ASSERT_EQ(p.size(), 5u);
+  const kern::DagPlacement &a = p[0], &b = p[1], &c = p[2], &d = p[3],
+                           &e = p[4];
+
+  // b extends a's chain; c opens a new one, which d and e extend.
+  EXPECT_EQ(b.chain, a.chain);
+  EXPECT_NE(c.chain, a.chain);
+  EXPECT_EQ(d.chain, c.chain);
+  EXPECT_EQ(e.chain, c.chain);
+
+  // The concurrent branches land on disjoint slots and streams.
+  EXPECT_NE(b.slot, c.slot);
+  EXPECT_NE(b.stream, c.stream);
+  for (const kern::DagPlacement& op : p) EXPECT_EQ(op.num_slots, 2);
+
+  // Only ops that neither reaches the other are concurrent: a reaches
+  // every op, and d and e are reached by both branches.
+  using Scopes = std::vector<std::string>;
+  EXPECT_EQ(b.concurrent_scopes, Scopes{"c"});
+  EXPECT_EQ(c.concurrent_scopes, Scopes{"b"});
+  EXPECT_TRUE(a.concurrent_scopes.empty());
+  EXPECT_TRUE(d.concurrent_scopes.empty());
+  EXPECT_TRUE(e.concurrent_scopes.empty());
+
+  // A pure chain x -> y -> z has nothing to overlap.
+  const std::vector<kern::DagPlacement> line =
+      s.plan_dag({{"x", {}}, {"y", {0}}, {"z", {1}}});
+  ASSERT_EQ(line.size(), 3u);
+  for (const kern::DagPlacement& op : line) {
+    EXPECT_EQ(op.chain, 0);
+    EXPECT_EQ(op.slot, 0);
+    EXPECT_EQ(op.num_slots, 1);
+    EXPECT_TRUE(op.concurrent_scopes.empty());
   }
 }
 
