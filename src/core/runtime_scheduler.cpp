@@ -120,21 +120,30 @@ void RuntimeScheduler::begin_scope(const std::string& scope,
   }
 
   if (options_.fixed_streams > 0) {
-    pool_ = acquire_scope_pool(clamp_streams(options_.fixed_streams));
-    mode_ = Mode::kSteady;
-    fork_from_home();
+    begin_steady(clamp_streams(options_.fixed_streams));
     return;
   }
 
   const ConcurrencyDecision* decision = analyzer_->decision(scope);
   if (decision != nullptr) {
-    pool_ = acquire_scope_pool(clamp_streams(decision->stream_count));
-    mode_ = Mode::kSteady;
-    fork_from_home();
+    begin_steady(clamp_streams(decision->stream_count));
   } else {
     tracker_->begin_profiling(*ctx_);
     mode_ = Mode::kProfiling;
   }
+}
+
+void RuntimeScheduler::begin_steady(int count) {
+  pool_ = acquire_scope_pool(count);
+  // Task i runs on lane i whenever the scope has no more tasks than the
+  // pool has streams (round-robin, tenant-sliced and block-cyclic alike),
+  // so streams past the last task would receive no work. Drop them after
+  // acquisition, which keeps stream creation order unchanged, so the
+  // fork below and the join in end_scope touch only lanes with tasks.
+  pool_.resize(
+      std::min(pool_.size(), std::max<std::size_t>(current_tasks_, 1)));
+  mode_ = Mode::kSteady;
+  fork_from_home();
 }
 
 std::vector<gpusim::StreamId> RuntimeScheduler::acquire_pool(int count) {

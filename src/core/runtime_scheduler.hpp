@@ -11,8 +11,12 @@
 //     the decision, and size the stream pool. The one-time T_p + T_a wall
 //     cost is charged to the simulated host clock, so end-to-end timings
 //     include GLP4NN's overhead (Table 6 honesty).
-//   afterwards — STEADY: round-robin tasks over the scope's stream pool;
-//     end_scope posts an asynchronous default-stream barrier.
+//   afterwards — STEADY: round-robin tasks over the scope's stream pool,
+//     cut to the lanes that receive a task (a scope of n < P tasks uses
+//     pool streams 0..n-1; the rest are still created, in the same order,
+//     but get no work). end_scope posts an asynchronous default-stream
+//     barrier, or, under a DAG op or tenant home stream, joins each used
+//     lane back to that home stream (which begin_scope forked them from).
 //
 // Options cover the ablations DESIGN.md lists: dispatch policy, a stream
 // cap, strict-repro pool rounding (bit-identical training), and a fixed
@@ -35,11 +39,11 @@ enum class DispatchPolicy {
   /// Multi-tenant serving: with a TenantContext set, the clamped device
   /// concurrency degree is divided into one fixed-width slice per
   /// in-flight batch slot and the scope runs on its slot's slice (the
-  /// analyzer's decision only shrinks the streams used *within* the
-  /// slice), round-robin within the slice. Slice boundaries are
-  /// independent of per-scope decisions, so concurrent slots can never
-  /// hand out overlapping stream ranges. Without a tenant this behaves
-  /// exactly like kRoundRobin.
+  /// analyzer's decision, and then the batch's request count, only
+  /// shrink the streams used *within* the slice), round-robin within the
+  /// slice. Slice boundaries are independent of per-scope decisions, so
+  /// concurrent slots can never hand out overlapping stream ranges.
+  /// Without a tenant this behaves exactly like kRoundRobin.
   kTenantSliced,
 };
 
@@ -47,6 +51,9 @@ enum class DispatchPolicy {
 /// scheduler, steady scopes run on the tenant's slice of the stream pool
 /// and fork/join against the batch's *home stream* instead of the
 /// device-wide default-stream barrier, so concurrent batches overlap.
+/// Only the slice streams that receive one of the batch's tasks are
+/// forked and joined: a one-request batch costs one event record and
+/// one event wait each way, however wide its slice.
 struct TenantContext {
   int tenant = 0;     ///< tag for the simulated timeline (≥ 0)
   int priority = 0;   ///< stream priority for the tenant's slice
@@ -160,6 +167,9 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   static constexpr int kMaxProfileAttempts = 3;
 
  private:
+  /// Enter steady mode on a pool of `count` streams, cut to the lanes
+  /// the scope's tasks use, and fork those lanes from the home stream.
+  void begin_steady(int count);
   /// Acquire a pool of `count` streams, degrading the current scope to
   /// serial dispatch when stream creation fails (injected fault).
   std::vector<gpusim::StreamId> acquire_pool(int count);

@@ -251,6 +251,67 @@ TEST_F(SchedulerTest, TenantSlicesDisjointAcrossDifferingDecisions) {
   }
 }
 
+TEST_F(SchedulerTest, SteadyScopeForksAndJoinsOnlyLanesWithTasks) {
+  // A steady scope with fewer tasks than pool streams forks from and
+  // joins back to its home stream only on the lanes its tasks use: the
+  // pool's other streams get no event record or wait, and every task
+  // keeps the lane it has in a full-width scope.
+  SchedulerOptions opt;
+  opt.fixed_streams = 8;
+  opt.policy = DispatchPolicy::kTenantSliced;
+  RuntimeScheduler& s = scheduler(opt);
+  const gpusim::StreamId home = ctx.device().create_stream();
+
+  // Issue one steady scope of `tasks` one-kernel tasks; no synchronize.
+  const auto issue = [&](const std::string& scope, int tasks) {
+    s.begin_scope(scope, static_cast<std::size_t>(tasks));
+    std::vector<kern::Lane> lanes;
+    for (int i = 0; i < tasks; ++i) {
+      lanes.push_back(s.task_lane(static_cast<std::size_t>(i)));
+      ctx.device().launch_kernel(lanes.back().stream, scope + "/work",
+                                 cfg(8, 256), {5e7, 5e7 / 4}, {});
+    }
+    s.end_scope();
+    return lanes;
+  };
+  const auto check = [&](const char* binding) {
+    SCOPED_TRACE(binding);
+    const std::vector<kern::Lane> pool = issue("wide", 8);
+    ctx.device().synchronize();
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(pool[static_cast<std::size_t>(i)].lane, i);
+      EXPECT_NE(pool[static_cast<std::size_t>(i)].stream, home);
+    }
+
+    const std::vector<kern::Lane> narrow = issue("narrow", 2);
+    // The queued kernels keep the used lanes busy, so an idle stream
+    // below really means nothing was queued on it.
+    for (int i = 0; i < 2; ++i) {
+      const kern::Lane& lane = narrow[static_cast<std::size_t>(i)];
+      EXPECT_EQ(lane.stream, pool[static_cast<std::size_t>(i)].stream);
+      EXPECT_EQ(lane.lane, i);
+      EXPECT_FALSE(ctx.device().stream_idle(lane.stream));
+    }
+    for (int i = 2; i < 8; ++i) {
+      EXPECT_TRUE(ctx.device().stream_idle(
+          pool[static_cast<std::size_t>(i)].stream))
+          << "pool stream " << i << " was forked or joined without a task";
+    }
+    ctx.device().synchronize();
+  };
+
+  s.set_tenant({/*tenant=*/0, /*priority=*/0, /*slot=*/0, /*num_slots=*/1,
+                home});
+  check("tenant-sliced batch");
+  s.clear_tenant();
+
+  kern::DagOpBinding op;
+  op.home_stream = home;
+  s.bind_dag_op(op);
+  check("DAG op");
+  s.clear_dag_op();
+}
+
 TEST_F(SchedulerTest, PlanDagRejectsForwardAndUnknownDeps) {
   RuntimeScheduler& s = scheduler();
   // A dep must name an earlier op: self, later, unknown and negative

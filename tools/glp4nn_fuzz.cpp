@@ -1,13 +1,15 @@
 // glp4nn_fuzz — differential fuzzer for the GLP4NN runtime scheduler.
 //
-// Samples random (net, device, scheduler-options) cases from consecutive
-// seeds and runs each through the differential core (testing/
-// differential.hpp): the subject configuration against its baseline
-// under the selected contract, plus an audit of the subject's timeline.
-// Optionally arms fault injection to exercise graceful degradation.
+// Samples random (net, device, scheduler-options) cases, or serving
+// cases, from consecutive seeds and runs each through the differential
+// core (testing/differential.hpp): the subject configuration against its
+// baseline under the selected contract, plus an audit of the subject's
+// timeline. Optionally arms fault injection to exercise graceful
+// degradation.
 //
 //   glp4nn_fuzz --cases 200 --seed 1
 //   glp4nn_fuzz --cases 200 --seed 1 --fault-rate 0.05
+//   glp4nn_fuzz --cases 200 --seed 1 --serve
 //   glp4nn_fuzz --replay 1337 --trace /tmp/case1337.json
 //
 // Flags:
@@ -25,13 +27,19 @@
 //                        timelines (the hot-path equivalence gate).
 //                        Without it, the subject is compared with its
 //                        scenario's baseline (serial dispatch; for
-//                        --fleet the sequential micro-batch oracle)
+//                        --fleet the sequential micro-batch oracle; for
+//                        --serve the serial batch-1 server)
 //   --dag                sample the branchy DAG corpus (inception fan-outs,
 //                        diamond skips, fused elementwise chains) and
 //                        train the subject under DAG scheduling: it must
 //                        match serial AND chain-only issue, and one clean
 //                        forward/backward pass is replayed against the
 //                        op DAG
+//   --serve              serving corpus: random inference nets (one or two
+//                        tenants), devices, batch caps and open-loop
+//                        traces; the tenant-sliced, batched server must
+//                        serve every request, in arrival order per
+//                        tenant, bit-identical to serial batch-1 serving
 //   --fleet              fleet corpus (Dropout-stripped, bit-exact regime):
 //                        train each case on an N-device fleet (bucketed
 //                        all-reduce, eager overlap, per-device GLP4NN
@@ -149,7 +157,8 @@ int main(int argc, char** argv) {
   unsigned long long seed_arg = 1;
   std::string replay_arg;
   bool no_branches = false, no_timeline = false, engine_compare = false;
-  bool dag = false, fleet = false, no_overlap = false, fp16_wire = false;
+  bool dag = false, fleet = false, serve = false, no_overlap = false;
+  bool fp16_wire = false;
   std::string links = "nvlink";
   std::string collective = "auto";
 
@@ -173,6 +182,9 @@ int main(int argc, char** argv) {
       .flag("dag", &dag,
             "branchy DAG corpus under DAG scheduling (vs serial AND vs "
             "chain-only, with op-schedule replay)")
+      .flag("serve", &serve,
+            "serving corpus: batched, tenant-sliced server vs serial "
+            "batch-1 serving (full service, per-tenant FIFO)")
       .flag("fleet", &fleet,
             "fleet corpus: N-device data-parallel training (vs the "
             "sequential micro-batch oracle) + link-contract audit")
@@ -214,6 +226,9 @@ int main(int argc, char** argv) {
   diff.audit = !no_timeline;
   if (engine_compare) diff.contract = glpfuzz::Contract::kEngine;
   bool collective_sample = false;
+  if (serve && (dag || fleet)) {
+    fail(flags, "--serve excludes --dag and --fleet");
+  }
   if (fleet) {
     if (dag) fail(flags, "--fleet excludes --dag");
     if (diff.devices < 1) fail(flags, "--fleet-devices must be >= 1");
@@ -254,8 +269,6 @@ int main(int argc, char** argv) {
   int peak_op_concurrency = 0;
   for (int i = 0; i < cases; ++i) {
     const std::uint64_t case_seed = seed + static_cast<std::uint64_t>(i);
-    const glpfuzz::FuzzCase c = fleet ? glpfuzz::make_fleet_case(case_seed, gen)
-                                      : glpfuzz::make_case(case_seed, gen);
     if (collective_sample) {
       // Rotate through the choices deterministically so a failing seed
       // replays with the same algorithm.
@@ -266,10 +279,21 @@ int main(int argc, char** argv) {
     }
 
     glpfuzz::DiffResult r;
-    try {
-      r = glpfuzz::run_differential(c, diff);
-    } catch (const std::exception& e) {
-      r.fail(std::string("exception: ") + e.what());
+    std::string summary;
+    const auto run = [&](const auto& c) {
+      summary = c.summary();
+      try {
+        r = glpfuzz::run_differential(c, diff);
+      } catch (const std::exception& e) {
+        r.fail(std::string("exception: ") + e.what());
+      }
+    };
+    if (serve) {
+      run(glpfuzz::make_serving_case(case_seed, gen));
+    } else if (fleet) {
+      run(glpfuzz::make_fleet_case(case_seed, gen));
+    } else {
+      run(glpfuzz::make_case(case_seed, gen));
     }
     total.launch_faults += r.launch_faults;
     total.stream_faults += r.stream_faults;
@@ -285,11 +309,10 @@ int main(int argc, char** argv) {
     if (r.ok) {
       ++passed;
       if (verbose) {
-        std::printf("PASS %s | %s\n", c.summary().c_str(), describe(r).c_str());
+        std::printf("PASS %s | %s\n", summary.c_str(), describe(r).c_str());
       }
     } else {
-      std::printf("FAIL %s\n     %s\n", c.summary().c_str(),
-                  r.failure.c_str());
+      std::printf("FAIL %s\n     %s\n", summary.c_str(), r.failure.c_str());
       for (const std::string& report :
            {r.races.to_string(), r.forward_schedule.to_string(),
             r.backward_schedule.to_string()}) {
