@@ -61,41 +61,11 @@ int RuntimeScheduler::clamp_streams(int requested) const {
   return std::max(s, 1);
 }
 
-void RuntimeScheduler::set_tenant(const TenantContext& tenant) {
-  GLP_REQUIRE(mode_ == Mode::kIdle, "cannot switch tenants mid-scope");
-  GLP_REQUIRE(tenant.tenant >= 0, "tenant tags must be non-negative");
-  GLP_REQUIRE(tenant.slot >= 0 && tenant.num_slots >= 1 &&
-                  tenant.slot < tenant.num_slots,
-              "tenant slot " << tenant.slot << " outside [0, "
-                             << tenant.num_slots << ")");
-  tenant_ = tenant;
-  tenant_active_ = true;
-}
-
-void RuntimeScheduler::clear_tenant() {
-  GLP_REQUIRE(mode_ == Mode::kIdle, "cannot switch tenants mid-scope");
-  tenant_active_ = false;
-}
-
-gpusim::StreamId RuntimeScheduler::active_home() const {
-  if (dag_active_) return dag_.home_stream;
-  if (tenant_active_) return tenant_.home_stream;
-  return gpusim::kDefaultStream;
-}
-
-gpusim::StreamId RuntimeScheduler::serial_stream() const {
-  // A degraded scope stays serial *within its op or batch*: running it on
-  // the bound DAG op's chain stream (or the tenant's home stream) instead
-  // of the device-wide default stream keeps independent ops and other
-  // tenants' batches overlapping with it.
-  return active_home();
-}
-
 void RuntimeScheduler::fork_from_home() {
   // Fork: the scope's streams must observe everything already queued on
   // the op's / batch's home stream (the producer of its inputs). With
   // the default stream as home the legacy barrier already covers this.
-  const gpusim::StreamId home = active_home();
+  const gpusim::StreamId home = binding_.home_stream;
   if (home == gpusim::kDefaultStream) return;
   bool cross_stream = false;
   for (gpusim::StreamId s : pool_) cross_stream |= (s != home);
@@ -113,8 +83,11 @@ void RuntimeScheduler::begin_scope(const std::string& scope,
   current_tasks_ = num_tasks;
 
   if (serial_scopes_.count(scope) != 0) {
-    // A fault degraded this scope to the serial baseline.
-    pool_.assign(1, serial_stream());
+    // A fault degraded this scope to the serial baseline. It stays serial
+    // *within its op or batch*: the binding's home stream, not the
+    // device-wide default stream, keeps independent ops and other
+    // tenants' batches overlapping with it.
+    pool_.assign(1, binding_.home_stream);
     mode_ = Mode::kSteady;
     return;
   }
@@ -136,8 +109,8 @@ void RuntimeScheduler::begin_scope(const std::string& scope,
 void RuntimeScheduler::begin_steady(int count) {
   pool_ = acquire_scope_pool(count);
   // Task i runs on lane i whenever the scope has no more tasks than the
-  // pool has streams (round-robin, tenant-sliced and block-cyclic alike),
-  // so streams past the last task would receive no work. Drop them after
+  // pool has streams (round-robin and block-cyclic alike), so streams
+  // past the last task would receive no work. Drop them after
   // acquisition, which keeps stream creation order unchanged, so the
   // fork below and the join in end_scope touch only lanes with tasks.
   pool_.resize(
@@ -146,57 +119,30 @@ void RuntimeScheduler::begin_steady(int count) {
   fork_from_home();
 }
 
-std::vector<gpusim::StreamId> RuntimeScheduler::acquire_pool(int count) {
+std::vector<gpusim::StreamId> RuntimeScheduler::acquire_scope_pool(int count) {
+  // Slice geometry is uniform across scopes: slot s always owns streams
+  // [s*W, (s+1)*W) with W = clamped device concurrency / num_slots,
+  // independent of this scope's analyzer decision. Decisions are
+  // per-scope (op-, tenant- and batch-size-keyed), so deriving W from
+  // `count` would let concurrently running ops or batches compute
+  // different widths and hand out overlapping ranges; the decision only
+  // shrinks how many of the slice's streams this scope uses. The
+  // strict-repro clamp keeps that a divisor of 32 even after the slice
+  // shrinks it, preserving the stream-stable gradient-slot order the
+  // bit-exact contract relies on. Unbound (slot 0 of 1) this is the
+  // pool's first `count` streams.
+  const int slice_width = std::max(1, max_lanes() / binding_.num_slots);
+  const int used = clamp_streams(std::min(std::max(1, count), slice_width));
   try {
-    return streams_->acquire(*ctx_, count);
+    return streams_->acquire_slice(*ctx_, binding_.slot, slice_width, used,
+                                   binding_.priority);
   } catch (const scuda::StreamCreateFailed&) {
     // Stream handles ran out (injected): degrade this scope to serial
     // dispatch permanently. Already-created pool streams stay in the
     // manager for scopes whose pools fit in them.
     serial_scopes_.insert(current_scope_);
-    return std::vector<gpusim::StreamId>(1, serial_stream());
+    return std::vector<gpusim::StreamId>(1, binding_.home_stream);
   }
-}
-
-std::vector<gpusim::StreamId> RuntimeScheduler::acquire_scope_pool(int count) {
-  if (dag_active_) {
-    // DAG op: the scope may only expand inside its op's slot slice, so
-    // scopes of concurrently running ops never hand out overlapping
-    // stream ranges (same argument as the tenant slices below). The
-    // strict-repro clamp keeps the pool a divisor of 32 even after the
-    // slice shrinks it, preserving the stream-stable gradient-slot order
-    // the bit-exact contract relies on.
-    const int num_slots = std::max(1, dag_.num_slots);
-    const int slice_width = std::max(1, max_lanes() / num_slots);
-    const int used = clamp_streams(std::min(std::max(1, count), slice_width));
-    try {
-      return streams_->acquire_slice(*ctx_, dag_.slot, slice_width, used,
-                                     /*priority=*/0);
-    } catch (const scuda::StreamCreateFailed&) {
-      serial_scopes_.insert(current_scope_);
-      return std::vector<gpusim::StreamId>(1, serial_stream());
-    }
-  }
-  if (options_.policy == DispatchPolicy::kTenantSliced && tenant_active_) {
-    // Slice geometry is uniform across scopes: slot s always owns
-    // streams [s*W, (s+1)*W) with W = clamped device concurrency /
-    // num_slots — independent of this scope's analyzer decision.
-    // Analyzer decisions are per-scope (tenant- and batch-size-keyed),
-    // so deriving W from `count` would let concurrent slots compute
-    // different widths and hand out overlapping ranges; the decision
-    // only shrinks how many of the slice's streams this scope uses.
-    const int num_slots = std::max(1, tenant_.num_slots);
-    const int slice_width = std::max(1, max_lanes() / num_slots);
-    const int used = std::min(std::max(1, count), slice_width);
-    try {
-      return streams_->acquire_slice(*ctx_, tenant_.slot, slice_width, used,
-                                     tenant_.priority);
-    } catch (const scuda::StreamCreateFailed&) {
-      serial_scopes_.insert(current_scope_);
-      return std::vector<gpusim::StreamId>(1, serial_stream());
-    }
-  }
-  return acquire_pool(count);
 }
 
 kern::Lane RuntimeScheduler::task_lane(std::size_t index) {
@@ -209,7 +155,6 @@ kern::Lane RuntimeScheduler::task_lane(std::size_t index) {
   const std::size_t pool_size = pool_.size();
   switch (options_.policy) {
     case DispatchPolicy::kRoundRobin:
-    case DispatchPolicy::kTenantSliced:  // round-robin within the slice
       lane = index % pool_size;
       break;
     case DispatchPolicy::kBlockCyclic: {
@@ -244,9 +189,7 @@ void RuntimeScheduler::end_scope() {
               ? options_.overhead_charge_ms
               : profile.profiling_ms + decision.analysis_ms;
       ctx_->device().host_advance(charge_ms * gpusim::kMs);
-      if (dag_active_ && !dag_.concurrent_scopes.empty()) {
-        maybe_joint_decide(profile);
-      }
+      if (!binding_.concurrent_scopes.empty()) maybe_joint_decide(profile);
     } else if (current_tasks_ > 0) {
       // The scope ran tasks but the capture came back empty (profiler
       // record loss). Retry on the next encounter a bounded number of
@@ -258,12 +201,12 @@ void RuntimeScheduler::end_scope() {
     }
     // An empty scope (zero tasks) yields no decision; it will profile
     // again next time it runs non-empty.
-  } else if (active_home() != gpusim::kDefaultStream) {
+  } else if (binding_.home_stream != gpusim::kDefaultStream) {
     // Local join: the op's / batch's home stream waits for each pool
     // stream, keeping the barrier local to this op or batch — a
     // device-wide default-stream barrier would serialise concurrent
     // branches and tenants.
-    const gpusim::StreamId home = active_home();
+    const gpusim::StreamId home = binding_.home_stream;
     for (gpusim::StreamId s : pool_) {
       if (s == home) continue;
       const gpusim::EventId ev = ctx_->device().record_event(s);
@@ -278,26 +221,28 @@ void RuntimeScheduler::end_scope() {
 }
 
 void RuntimeScheduler::bind_dag_op(const kern::DagOpBinding& binding) {
-  GLP_REQUIRE(mode_ == Mode::kIdle, "cannot bind a DAG op mid-scope");
+  GLP_REQUIRE(mode_ == Mode::kIdle, "cannot bind mid-scope");
+  GLP_REQUIRE(!bound_, "bindings must not nest");
   GLP_REQUIRE(binding.slot >= 0 && binding.num_slots >= 1 &&
                   binding.slot < binding.num_slots,
-              "DAG op slot " << binding.slot << " outside [0, "
-                             << binding.num_slots << ")");
-  dag_ = binding;
-  dag_active_ = true;
+              "binding slot " << binding.slot << " outside [0, "
+                              << binding.num_slots << ")");
+  binding_ = binding;
+  bound_ = true;
 }
 
 void RuntimeScheduler::clear_dag_op() {
-  GLP_REQUIRE(mode_ == Mode::kIdle, "cannot clear a DAG op mid-scope");
-  dag_active_ = false;
+  GLP_REQUIRE(mode_ == Mode::kIdle, "cannot clear a binding mid-scope");
+  binding_ = kern::DagOpBinding{};
+  bound_ = false;
 }
 
 void RuntimeScheduler::maybe_joint_decide(const ScopeProfile& profile) {
   dag_profiles_[profile.scope] = profile;
   // The op's concurrent group, in name order so the trigger is
   // independent of which member finished profiling last.
-  std::set<std::string> members(dag_.concurrent_scopes.begin(),
-                                dag_.concurrent_scopes.end());
+  std::set<std::string> members(binding_.concurrent_scopes.begin(),
+                                binding_.concurrent_scopes.end());
   members.insert(profile.scope);
   std::vector<const ScopeProfile*> group;
   for (const std::string& scope : members) {

@@ -15,8 +15,14 @@
 //     cut to the lanes that receive a task (a scope of n < P tasks uses
 //     pool streams 0..n-1; the rest are still created, in the same order,
 //     but get no work). end_scope posts an asynchronous default-stream
-//     barrier, or, under a DAG op or tenant home stream, joins each used
+//     barrier, or, under a binding with a home stream, joins each used
 //     lane back to that home stream (which begin_scope forked them from).
+//
+// One ambient context, kern::DagOpBinding, routes scopes: the DAG op or
+// serving batch being issued binds its home stream and its slot of
+// num_slots, and every pool is that slot's slice of the shared stream
+// pool (unbound: the default stream and slot 0 of 1, i.e. the pool's
+// first streams).
 //
 // Options cover the ablations DESIGN.md lists: dispatch policy, a stream
 // cap, strict-repro pool rounding (bit-identical training), and a fixed
@@ -36,30 +42,6 @@ namespace glp4nn {
 enum class DispatchPolicy {
   kRoundRobin,   ///< task i → stream (i mod S) — the paper's policy
   kBlockCyclic,  ///< contiguous blocks of tasks per stream (ablation)
-  /// Multi-tenant serving: with a TenantContext set, the clamped device
-  /// concurrency degree is divided into one fixed-width slice per
-  /// in-flight batch slot and the scope runs on its slot's slice (the
-  /// analyzer's decision, and then the batch's request count, only
-  /// shrink the streams used *within* the slice), round-robin within the
-  /// slice. Slice boundaries are independent of per-scope decisions, so
-  /// concurrent slots can never hand out overlapping stream ranges.
-  /// Without a tenant this behaves exactly like kRoundRobin.
-  kTenantSliced,
-};
-
-/// Ambient multi-tenant context for serving. While one is set on the
-/// scheduler, steady scopes run on the tenant's slice of the stream pool
-/// and fork/join against the batch's *home stream* instead of the
-/// device-wide default-stream barrier, so concurrent batches overlap.
-/// Only the slice streams that receive one of the batch's tasks are
-/// forked and joined: a one-request batch costs one event record and
-/// one event wait each way, however wide its slice.
-struct TenantContext {
-  int tenant = 0;     ///< tag for the simulated timeline (≥ 0)
-  int priority = 0;   ///< stream priority for the tenant's slice
-  int slot = 0;       ///< in-flight batch slot → stream-pool slice index
-  int num_slots = 1;  ///< concurrent slots the pool is divided between
-  gpusim::StreamId home_stream = gpusim::kDefaultStream;
 };
 
 struct SchedulerOptions {
@@ -108,15 +90,14 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   /// concurrently with it (feeds the analyzer's joint resource model).
   std::vector<kern::DagPlacement> plan_dag(
       const std::vector<kern::DagOp>& ops) override;
-  /// Route the next issued op's scopes: fork/join against the op's chain
-  /// home stream (instead of the device-wide default barrier) and expand
-  /// pools only within the op's slot slice.
+  /// Route the next issued op's or serving batch's scopes: fork/join
+  /// against the binding's home stream (instead of the device-wide default
+  /// barrier) and expand pools only within its slot slice, creating slice
+  /// streams at its priority. Only the slice streams that receive a task
+  /// are forked and joined. Bindings must not nest: a second bind before
+  /// clear_dag_op() throws, as a nested begin_scope does.
   void bind_dag_op(const kern::DagOpBinding& binding) override;
   void clear_dag_op() override;
-  /// Binding of the DAG op currently being issued (nullptr when none).
-  const kern::DagOpBinding* dag_binding() const {
-    return dag_active_ ? &dag_ : nullptr;
-  }
   /// Concurrent scope groups that completed a joint analyzer solve.
   std::size_t dag_joint_groups() const { return dag_joint_groups_; }
 
@@ -135,23 +116,12 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   /// Effective pool size after the option clamps (exposed for tests).
   int clamp_streams(int requested) const;
 
-  // --- multi-tenant serving ------------------------------------------------
-  /// Set the tenant context for subsequently issued scopes (must not be
-  /// called mid-scope). Under DispatchPolicy::kTenantSliced this routes
-  /// the scope onto the tenant's stream-pool slice.
-  void set_tenant(const TenantContext& tenant);
-  /// Clear the tenant context (must not be called mid-scope).
-  void clear_tenant();
-  /// Active tenant context, or nullptr when none is set.
-  const TenantContext* tenant() const {
-    return tenant_active_ ? &tenant_ : nullptr;
-  }
-
   // --- fault degradation ---------------------------------------------------
   // Injected runtime faults never abort training; they shrink the scope
   // back to the serial baseline:
   //  * stream-creation failure while sizing a pool → the scope runs on
-  //    the default stream from then on;
+  //    its binding's home stream (unbound: the default stream) from then
+  //    on;
   //  * profiler-capture loss → the scope is re-profiled on its next run,
   //    and after kMaxProfileAttempts empty captures it is serialised
   //    instead of profiling forever.
@@ -170,23 +140,17 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   /// Enter steady mode on a pool of `count` streams, cut to the lanes
   /// the scope's tasks use, and fork those lanes from the home stream.
   void begin_steady(int count);
-  /// Acquire a pool of `count` streams, degrading the current scope to
-  /// serial dispatch when stream creation fails (injected fault).
-  std::vector<gpusim::StreamId> acquire_pool(int count);
-  /// Pool for the current scope: the tenant's slice under kTenantSliced
-  /// with an active tenant, the shared pool otherwise.
+  /// Pool of up to `count` streams for the current scope: its binding's
+  /// slot slice. Degrades the scope to serial dispatch on the binding's
+  /// home stream when stream creation fails (injected fault).
   std::vector<gpusim::StreamId> acquire_scope_pool(int count);
-  /// Stream a degraded (serial) scope runs on: the bound DAG op's or the
-  /// tenant's home stream when one is active, else the default stream.
-  gpusim::StreamId serial_stream() const;
-  /// Make the scope's pool observe work already queued on the active home
-  /// stream (begin_scope) — the fork half of the op/batch-local barrier.
+  /// Make the scope's pool observe work already queued on the binding's
+  /// home stream (begin_scope) — the fork half of the op/batch-local
+  /// barrier.
   void fork_from_home();
-  /// Home stream of the active DAG op or tenant (default stream if none).
-  gpusim::StreamId active_home() const;
-  /// After a profiling end_scope under a DAG binding: stash the profile
-  /// and, once every member of the op's concurrent group has one, run the
-  /// analyzer's joint solve and charge its cost.
+  /// After a profiling end_scope under a binding with concurrent scopes:
+  /// stash the profile and, once every member of the op's concurrent
+  /// group has one, run the analyzer's joint solve and charge its cost.
   void maybe_joint_decide(const ScopeProfile& profile);
 
   scuda::Context* ctx_;
@@ -203,10 +167,8 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   double scheduling_ms_ = 0.0;
   std::set<std::string> serial_scopes_;        ///< fault-degraded scopes
   std::map<std::string, int> profile_attempts_;  ///< empty captures per scope
-  TenantContext tenant_;
-  bool tenant_active_ = false;
-  kern::DagOpBinding dag_;
-  bool dag_active_ = false;
+  kern::DagOpBinding binding_;  ///< default: default-stream home, slot 0 of 1
+  bool bound_ = false;          ///< bind_dag_op ran and clear_dag_op has not
   /// Profiles stashed for concurrent-group members awaiting a joint solve.
   std::map<std::string, ScopeProfile> dag_profiles_;
   std::size_t dag_joint_groups_ = 0;

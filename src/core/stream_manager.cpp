@@ -6,25 +6,6 @@
 
 namespace glp4nn {
 
-std::vector<gpusim::StreamId> StreamManager::acquire(scuda::Context& ctx,
-                                                     int count) {
-  GLP_REQUIRE(count >= 1, "stream pool request must be positive");
-  GLP_REQUIRE(count <= ctx.props().max_concurrent_kernels,
-              "requesting " << count
-                            << " streams exceeds the device concurrency degree "
-                            << ctx.props().max_concurrent_kernels);
-  std::vector<scuda::Stream>& pool = pools_[&ctx];
-  while (static_cast<int>(pool.size()) < count) {
-    pool.push_back(scuda::Stream::create(ctx));
-  }
-  std::vector<gpusim::StreamId> ids;
-  ids.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    ids.push_back(pool[static_cast<std::size_t>(i)].id());
-  }
-  return ids;
-}
-
 std::vector<gpusim::StreamId> StreamManager::acquire_slice(scuda::Context& ctx,
                                                            int slice,
                                                            int slice_width,

@@ -18,16 +18,14 @@ class StreamManager {
   StreamManager(const StreamManager&) = delete;
   StreamManager& operator=(const StreamManager&) = delete;
 
-  /// Return `count` stream ids from the device's pool, growing it if
-  /// needed. The returned span stays valid until the manager dies.
-  std::vector<gpusim::StreamId> acquire(scuda::Context& ctx, int count);
-
   /// Return the first `use_width` streams of the `slice`-th disjoint
   /// window of `slice_width` streams — streams [slice*slice_width,
   /// slice*slice_width + use_width) — growing the pool on demand.
-  /// Multi-tenant serving maps each in-flight batch slot to its own
-  /// slice with a *uniform* slice_width, so slices from concurrent slots
-  /// can never overlap even when callers use different use_widths.
+  /// The scheduler maps each bound slot (a DAG op's chain slot or a
+  /// serving batch slot) to its own slice with a *uniform* slice_width,
+  /// so slices from concurrent slots can never overlap even when callers
+  /// use different use_widths; slice 0 of the full width is the shared
+  /// pool unbound scopes draw from.
   /// Streams this call creates inside the slice take `priority`; filler
   /// streams below the slice (they belong to other slots) are created
   /// with default priority. Streams already in the pool keep the

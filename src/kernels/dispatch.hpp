@@ -63,10 +63,11 @@ struct DagPlacement {
   std::vector<std::string> concurrent_scopes;
 };
 
-/// Ambient binding for the DAG op the host is about to issue. Set with
-/// bind_dag_op() before the op's launches, cleared with clear_dag_op()
-/// after: scoped layers then fork from / join to `home_stream` instead of
-/// the device-wide default barrier, and expand into slot-sliced pools.
+/// Ambient binding for the DAG op or serving batch the host is about to
+/// issue. Set with bind_dag_op() before its launches, cleared with
+/// clear_dag_op() after: scoped layers then fork from / join to
+/// `home_stream` instead of the device-wide default barrier, and expand
+/// into slot-sliced pools.
 struct DagOpBinding {
   gpusim::StreamId home_stream = gpusim::kDefaultStream;
   int slot = 0;
@@ -74,6 +75,9 @@ struct DagOpBinding {
   /// Scope names of ops that may run concurrently with this one (used by
   /// DAG-aware schedulers to size heterogeneous concurrent pools jointly).
   std::vector<std::string> concurrent_scopes;
+  /// Priority of the slice streams the binding's scopes create (a serving
+  /// tenant's priority; DAG ops keep the default).
+  int priority = 0;
 };
 
 class KernelDispatcher {
@@ -115,10 +119,11 @@ class KernelDispatcher {
     return std::vector<DagPlacement>(ops.size());
   }
 
-  /// Install the ambient binding for the next issued op. No-op by default.
+  /// Install the ambient binding for the next issued op or batch. No-op by
+  /// default.
   virtual void bind_dag_op(const DagOpBinding& binding) { (void)binding; }
 
-  /// Drop the ambient DAG-op binding. No-op by default.
+  /// Drop the ambient binding. No-op by default.
   virtual void clear_dag_op() {}
 };
 

@@ -45,11 +45,8 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
   opts_.slots = std::min(opts_.slots, static_cast<int>(models_.size()));
 
   if (opts_.use_scheduler) {
-    glp4nn::SchedulerOptions sopts = opts_.scheduler;
-    sopts.policy = glp4nn::DispatchPolicy::kTenantSliced;
-    engine_ = std::make_unique<glp4nn::Glp4nnEngine>(sopts);
-    sched_ = &engine_->scheduler_for(*ctx_);
-    dispatcher_ = sched_;
+    engine_ = std::make_unique<glp4nn::Glp4nnEngine>(opts_.scheduler);
+    dispatcher_ = &engine_->scheduler_for(*ctx_);
   } else {
     serial_ = std::make_unique<kern::SerialDispatcher>(*ctx_);
     dispatcher_ = serial_.get();
@@ -115,6 +112,10 @@ double InferenceServer::service_estimate_ns(int tenant) const {
   return shards_.at(static_cast<std::size_t>(tenant)).est_ns;
 }
 
+std::size_t InferenceServer::serial_fallback_count() const {
+  return engine_ ? engine_->scheduler_for(*ctx_).serial_fallback_count() : 0;
+}
+
 void InferenceServer::prewarm() {
   if (warmed_) return;
   warmup();
@@ -132,14 +133,12 @@ void InferenceServer::warmup() {
     const auto run_once = [&](int b) {
       InferenceSession::Replica& r = sessions_[static_cast<std::size_t>(t)]
                                          ->checkout(b);
-      if (sched_) {
-        sched_->set_tenant({t, models_[static_cast<std::size_t>(t)].priority,
-                            slot, opts_.slots, home});
-      }
+      dispatcher_->bind_dag_op({home, slot, opts_.slots, {},
+                                models_[static_cast<std::size_t>(t)].priority});
       dev.set_current_tenant(t);
       sessions_[static_cast<std::size_t>(t)]->run_batch(r, {}, home);
       dev.set_current_tenant(-1);
-      if (sched_) sched_->clear_tenant();
+      dispatcher_->clear_dag_op();
       dev.synchronize();
       sessions_[static_cast<std::size_t>(t)]->release(r);
     };
@@ -210,15 +209,13 @@ void InferenceServer::issue(int tenant, gpusim::SimTime now) {
 
   gpusim::DeviceEngine& dev = ctx_->device();
   const gpusim::StreamId home = homes_[static_cast<std::size_t>(slot)].id();
-  if (sched_) {
-    sched_->set_tenant({tenant, models_[static_cast<std::size_t>(tenant)].priority,
-                        slot, opts_.slots, home});
-  }
+  dispatcher_->bind_dag_op({home, slot, opts_.slots, {},
+                            models_[static_cast<std::size_t>(tenant)].priority});
   dev.set_current_tenant(tenant);
   sess.run_batch(r, samples, home);
   const gpusim::EventId done = dev.record_event(home);
   dev.set_current_tenant(-1);
-  if (sched_) sched_->clear_tenant();
+  dispatcher_->clear_dag_op();
 
   slot_busy_[static_cast<std::size_t>(slot)] = true;
   InFlight f;

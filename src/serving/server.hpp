@@ -3,12 +3,13 @@
 // InferenceSession per tenant model, one *shard* per tenant — a bounded
 // RequestQueue, a token-bucket QoS meter and a service time estimate, so
 // tenants never contend on a shared queue — and `slots` concurrent
-// in-flight batch slots, each a dedicated home stream. Under the GLP4NN
-// scheduler (DispatchPolicy::kTenantSliced) every in-flight batch runs
-// its per-sample scopes on a disjoint slice of the stream pool and
-// forks/joins against its slot's home stream, so batches from different
-// tenants overlap on the device; the serial baseline funnels everything
-// through the default stream.
+// in-flight batch slots, each a dedicated home stream. Each batch binds
+// its slot like a DAG op (kern::DagOpBinding: home stream, slot of
+// `slots`, tenant priority), so under the GLP4NN scheduler its per-sample
+// scopes run on a disjoint slice of the stream pool and fork/join
+// against the slot's home stream, and batches from different tenants
+// overlap on the device; the serial baseline ignores the binding and
+// funnels everything through the default stream.
 //
 // Admission pipeline (per request, at enqueue time):
 //   1. token bucket — a tenant whose bucket is dry is over its contracted
@@ -95,10 +96,10 @@ struct ServerOptions {
   AdmissionOptions admission;
   int slots = 4;                    ///< concurrent in-flight batch slots
   std::size_t queue_capacity = 64;  ///< admission bound *per tenant shard*
-  /// true: GLP4NN RuntimeScheduler (kTenantSliced); false: serial
-  /// baseline (every kernel on the default stream).
+  /// true: GLP4NN RuntimeScheduler, each batch bound to its slot's slice;
+  /// false: serial baseline (every kernel on the default stream).
   bool use_scheduler = true;
-  glp4nn::SchedulerOptions scheduler;  ///< policy is forced to kTenantSliced
+  glp4nn::SchedulerOptions scheduler;  ///< GLP4NN options, passed through as given
   kern::ComputeMode mode = kern::ComputeMode::kNumeric;
   /// Merge each lane's per-sample kernel chain into one launch per
   /// stream in steady scopes (kern::CoalescingDispatcher) — the serving
@@ -173,6 +174,9 @@ class InferenceServer {
   /// Per-request service estimate the admission feasibility check uses
   /// for `tenant` (simulated ns; 0 until warmed up or first reap).
   double service_estimate_ns(int tenant) const;
+  /// Scopes the GLP4NN scheduler degraded to serial dispatch after an
+  /// injected fault (0 under the serial baseline).
+  std::size_t serial_fallback_count() const;
 
   /// Run the warmup pass now instead of at replay() time. Idempotent —
   /// a later replay() will not warm up again — so a fleet front end can
@@ -218,7 +222,6 @@ class InferenceServer {
   std::vector<TenantModel> models_;
   std::unique_ptr<glp4nn::Glp4nnEngine> engine_;       // scheduler mode
   std::unique_ptr<kern::SerialDispatcher> serial_;     // baseline mode
-  glp4nn::RuntimeScheduler* sched_ = nullptr;
   kern::KernelDispatcher* dispatcher_ = nullptr;
   std::vector<std::unique_ptr<InferenceSession>> sessions_;
   std::vector<Shard> shards_;         ///< one per tenant

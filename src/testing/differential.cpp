@@ -518,6 +518,7 @@ Output serve(const ServeCase& c, const DiffOptions& o, bool scheduled,
   r.launch_faults = ctx.faults().launch_faults();
   r.stream_faults = ctx.faults().stream_create_faults();
   r.capture_drops = ctx.faults().capture_records_dropped();
+  r.fallbacks = server.serial_fallback_count();
   if (served != trace.size()) {
     r.fail("only " + std::to_string(served) + "/" +
            std::to_string(trace.size()) +

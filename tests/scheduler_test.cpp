@@ -209,9 +209,7 @@ TEST_F(SchedulerTest, TenantSlicesDisjointAcrossDifferingDecisions) {
   // stream counts differ — if each slot computed its slice from its own
   // decision, the ranges could overlap and in-flight batches would share
   // streams (serialising supposedly isolated tenants).
-  SchedulerOptions opt;
-  opt.policy = DispatchPolicy::kTenantSliced;
-  RuntimeScheduler& s = scheduler(opt);
+  RuntimeScheduler& s = scheduler();
   // Profile two scopes with very different concurrency appetites.
   run_scope(s, "heavy", 16, 5e8);
   run_scope(s, "light", 2, 1e5);
@@ -224,15 +222,14 @@ TEST_F(SchedulerTest, TenantSlicesDisjointAcrossDifferingDecisions) {
 
   const auto steady_pool = [&](const std::string& scope, int tasks,
                                int slot) {
-    s.set_tenant({/*tenant=*/slot, /*priority=*/0, slot, /*num_slots=*/2,
-                  gpusim::kDefaultStream});
+    s.bind_dag_op({gpusim::kDefaultStream, slot, /*num_slots=*/2, {}});
     s.begin_scope(scope, static_cast<std::size_t>(tasks));
     std::set<gpusim::StreamId> used;
     for (int i = 0; i < tasks; ++i) {
       used.insert(s.task_lane(static_cast<std::size_t>(i)).stream);
     }
     s.end_scope();
-    s.clear_tenant();
+    s.clear_dag_op();
     return used;
   };
 
@@ -258,7 +255,6 @@ TEST_F(SchedulerTest, SteadyScopeForksAndJoinsOnlyLanesWithTasks) {
   // keeps the lane it has in a full-width scope.
   SchedulerOptions opt;
   opt.fixed_streams = 8;
-  opt.policy = DispatchPolicy::kTenantSliced;
   RuntimeScheduler& s = scheduler(opt);
   const gpusim::StreamId home = ctx.device().create_stream();
 
@@ -274,42 +270,93 @@ TEST_F(SchedulerTest, SteadyScopeForksAndJoinsOnlyLanesWithTasks) {
     s.end_scope();
     return lanes;
   };
-  const auto check = [&](const char* binding) {
-    SCOPED_TRACE(binding);
-    const std::vector<kern::Lane> pool = issue("wide", 8);
-    ctx.device().synchronize();
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(pool[static_cast<std::size_t>(i)].lane, i);
-      EXPECT_NE(pool[static_cast<std::size_t>(i)].stream, home);
-    }
-
-    const std::vector<kern::Lane> narrow = issue("narrow", 2);
-    // The queued kernels keep the used lanes busy, so an idle stream
-    // below really means nothing was queued on it.
-    for (int i = 0; i < 2; ++i) {
-      const kern::Lane& lane = narrow[static_cast<std::size_t>(i)];
-      EXPECT_EQ(lane.stream, pool[static_cast<std::size_t>(i)].stream);
-      EXPECT_EQ(lane.lane, i);
-      EXPECT_FALSE(ctx.device().stream_idle(lane.stream));
-    }
-    for (int i = 2; i < 8; ++i) {
-      EXPECT_TRUE(ctx.device().stream_idle(
-          pool[static_cast<std::size_t>(i)].stream))
-          << "pool stream " << i << " was forked or joined without a task";
-    }
-    ctx.device().synchronize();
-  };
-
-  s.set_tenant({/*tenant=*/0, /*priority=*/0, /*slot=*/0, /*num_slots=*/1,
-                home});
-  check("tenant-sliced batch");
-  s.clear_tenant();
-
   kern::DagOpBinding op;
   op.home_stream = home;
   s.bind_dag_op(op);
-  check("DAG op");
+  const std::vector<kern::Lane> pool = issue("wide", 8);
+  ctx.device().synchronize();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(pool[static_cast<std::size_t>(i)].lane, i);
+    EXPECT_NE(pool[static_cast<std::size_t>(i)].stream, home);
+  }
+
+  const std::vector<kern::Lane> narrow = issue("narrow", 2);
+  // The queued kernels keep the used lanes busy, so an idle stream
+  // below really means nothing was queued on it.
+  for (int i = 0; i < 2; ++i) {
+    const kern::Lane& lane = narrow[static_cast<std::size_t>(i)];
+    EXPECT_EQ(lane.stream, pool[static_cast<std::size_t>(i)].stream);
+    EXPECT_EQ(lane.lane, i);
+    EXPECT_FALSE(ctx.device().stream_idle(lane.stream));
+  }
+  for (int i = 2; i < 8; ++i) {
+    EXPECT_TRUE(ctx.device().stream_idle(
+        pool[static_cast<std::size_t>(i)].stream))
+        << "pool stream " << i << " was forked or joined without a task";
+  }
+  ctx.device().synchronize();
   s.clear_dag_op();
+}
+
+TEST_F(SchedulerTest, BindingsMustNotNest) {
+  // One ambient binding at a time, as with scopes: a second bind before
+  // clear_dag_op is rejected, and binding works again once cleared.
+  RuntimeScheduler& s = scheduler();
+  const kern::DagOpBinding op;
+  s.bind_dag_op(op);
+  EXPECT_THROW(s.bind_dag_op(op), glp::InvalidArgument);
+  s.clear_dag_op();
+  EXPECT_NO_THROW(s.bind_dag_op(op));
+  s.clear_dag_op();
+}
+
+TEST_F(SchedulerTest, BoundConcurrentScopesSolveJointly) {
+  // A scope profiled under a binding that names concurrent scopes waits
+  // for its whole group to profile; then the analyzer sizes the group's
+  // pools in one joint solve. Bindings without concurrent scopes, and
+  // unbound scopes, keep solo decisions.
+  RuntimeScheduler& s = scheduler();
+  const auto run_bound = [&](const std::string& scope,
+                             std::vector<std::string> concurrent) {
+    kern::DagOpBinding op;
+    op.concurrent_scopes = std::move(concurrent);
+    s.bind_dag_op(op);
+    run_scope(s, scope, 8);
+    s.clear_dag_op();
+  };
+  run_bound("a", {});
+  run_scope(s, "solo", 8);
+  EXPECT_EQ(s.dag_joint_groups(), 0u);
+  EXPECT_EQ(s.analyzer().joint_solves(), 0u);
+
+  run_bound("b", {"c"});
+  EXPECT_EQ(s.dag_joint_groups(), 0u);  // "c" has not profiled yet
+  run_bound("c", {"b"});
+  EXPECT_EQ(s.dag_joint_groups(), 1u);
+  EXPECT_EQ(s.analyzer().joint_solves(), 1u);
+}
+
+TEST_F(SchedulerTest, BindingPriorityReachesSliceStreams) {
+  // A serving batch binds its tenant's priority: the slice streams its
+  // scopes create take it.
+  SchedulerOptions opt;
+  opt.fixed_streams = 4;
+  RuntimeScheduler& s = scheduler(opt);
+  kern::DagOpBinding batch;
+  batch.slot = 1;
+  batch.num_slots = 2;
+  batch.priority = 3;
+  s.bind_dag_op(batch);
+  s.begin_scope("conv/fwd", 4);
+  std::set<gpusim::StreamId> pool;
+  for (std::size_t i = 0; i < 4; ++i) pool.insert(s.task_lane(i).stream);
+  s.end_scope();
+  s.clear_dag_op();
+  ASSERT_EQ(pool.size(), 4u);
+  for (gpusim::StreamId id : pool) {
+    EXPECT_NE(id, gpusim::kDefaultStream);
+    EXPECT_EQ(ctx.device().stream_priority(id), 3) << "stream " << id;
+  }
 }
 
 TEST_F(SchedulerTest, PlanDagRejectsForwardAndUnknownDeps) {

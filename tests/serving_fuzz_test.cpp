@@ -50,6 +50,22 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ServingCorpus,
                            return "seed" + std::to_string(info.param);
                          });
 
+TEST(ServingFuzz, FaultDegradedScopesAreCounted) {
+  // Stream-creation faults that degrade a scope to serial dispatch must
+  // show in the result's fallback count, as they do for training.
+  glpfuzz::DiffOptions opts;
+  opts.faults.launch_failure_rate = 0.05;
+  opts.faults.stream_create_failure_rate = 0.05;
+  opts.faults.capture_loss_rate = 0.05;
+  std::size_t fallbacks = 0;
+  for (std::uint64_t seed = 1; seed < 16; ++seed) {
+    fallbacks +=
+        glpfuzz::run_differential(glpfuzz::make_serving_case(seed), opts)
+            .fallbacks;
+  }
+  EXPECT_GT(fallbacks, 0u);
+}
+
 TEST(ServingFuzz, EnvSeedOverrideReplaysOneCase) {
   const std::uint64_t seed = glptest::test_seed(5);
   GLP_SCOPED_SEED(seed);

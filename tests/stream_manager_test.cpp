@@ -16,13 +16,13 @@ TEST(StreamManager, PoolGrowsAndReuses) {
   scuda::Context ctx(gpusim::DeviceTable::p100());
   glp4nn::StreamManager manager;
   EXPECT_EQ(manager.pool_size(ctx), 0);
-  const auto a = manager.acquire(ctx, 3);
+  const auto a = manager.acquire_slice(ctx, 0, 3, 3);
   EXPECT_EQ(manager.pool_size(ctx), 3);
-  const auto b = manager.acquire(ctx, 2);
+  const auto b = manager.acquire_slice(ctx, 0, 2, 2);
   EXPECT_EQ(manager.pool_size(ctx), 3);  // reused, not grown
   EXPECT_EQ(a[0], b[0]);
   EXPECT_EQ(a[1], b[1]);
-  const auto c = manager.acquire(ctx, 5);
+  const auto c = manager.acquire_slice(ctx, 0, 5, 5);
   EXPECT_EQ(manager.pool_size(ctx), 5);
   EXPECT_EQ(c[0], a[0]);
   EXPECT_EQ(manager.max_pool_size(), 5);
@@ -31,25 +31,25 @@ TEST(StreamManager, PoolGrowsAndReuses) {
 TEST(StreamManager, RejectsOverCapacityRequests) {
   scuda::Context ctx(gpusim::DeviceTable::p100());
   glp4nn::StreamManager manager;
-  EXPECT_THROW(manager.acquire(ctx, 0), glp::InvalidArgument);
-  EXPECT_THROW(manager.acquire(ctx, 129), glp::InvalidArgument);
+  EXPECT_THROW(manager.acquire_slice(ctx, 0, 0, 0), glp::InvalidArgument);
+  EXPECT_THROW(manager.acquire_slice(ctx, 0, 129, 129), glp::InvalidArgument);
 }
 
 TEST(StreamManager, PerDevicePools) {
   scuda::Context a(gpusim::DeviceTable::p100());
   scuda::Context b(gpusim::DeviceTable::k40c());
   glp4nn::StreamManager manager;
-  manager.acquire(a, 4);
+  manager.acquire_slice(a, 0, 4, 4);
   EXPECT_EQ(manager.pool_size(a), 4);
   EXPECT_EQ(manager.pool_size(b), 0);
-  manager.acquire(b, 2);
+  manager.acquire_slice(b, 0, 2, 2);
   EXPECT_EQ(manager.pool_size(b), 2);
 }
 
 TEST(StreamManager, StreamsAreDistinctAndNotDefault) {
   scuda::Context ctx(gpusim::DeviceTable::p100());
   glp4nn::StreamManager manager;
-  const auto streams = manager.acquire(ctx, 8);
+  const auto streams = manager.acquire_slice(ctx, 0, 8, 8);
   ASSERT_EQ(streams.size(), 8u);
   for (std::size_t i = 0; i < streams.size(); ++i) {
     EXPECT_NE(streams[i], gpusim::kDefaultStream) << i;
@@ -64,13 +64,13 @@ TEST(StreamManager, MaxPoolSizeIsHighWaterAcrossDevices) {
   scuda::Context b(gpusim::DeviceTable::k40c());
   glp4nn::StreamManager manager;
   EXPECT_EQ(manager.max_pool_size(), 0);
-  manager.acquire(a, 6);
+  manager.acquire_slice(a, 0, 6, 6);
   EXPECT_EQ(manager.max_pool_size(), 6);
-  manager.acquire(b, 3);
+  manager.acquire_slice(b, 0, 3, 3);
   EXPECT_EQ(manager.max_pool_size(), 6);  // smaller pool doesn't lower it
-  manager.acquire(b, 9);
+  manager.acquire_slice(b, 0, 9, 9);
   EXPECT_EQ(manager.max_pool_size(), 9);
-  manager.acquire(a, 2);
+  manager.acquire_slice(a, 0, 2, 2);
   EXPECT_EQ(manager.max_pool_size(), 9);  // reuse doesn't lower it
 }
 
