@@ -115,6 +115,15 @@ void RuntimeScheduler::begin_steady(int count) {
   // fork below and the join in end_scope touch only lanes with tasks.
   pool_.resize(
       std::min(pool_.size(), std::max<std::size_t>(current_tasks_, 1)));
+  // Lane 0 runs on the home stream itself: stream FIFO orders it against
+  // the home's other work, so the fork and join below skip it. A home of
+  // another priority (a prioritised tenant's slot) would change the
+  // lane's admission priority, so lane 0 keeps its slice stream there.
+  const gpusim::StreamId home = binding_.home_stream;
+  if (home != gpusim::kDefaultStream &&
+      ctx_->device().stream_priority(home) == binding_.priority) {
+    pool_[0] = home;
+  }
   mode_ = Mode::kSteady;
   fork_from_home();
 }

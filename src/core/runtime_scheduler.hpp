@@ -17,6 +17,10 @@
 //     but get no work). end_scope posts an asynchronous default-stream
 //     barrier, or, under a binding with a home stream, joins each used
 //     lane back to that home stream (which begin_scope forked them from).
+//     Under such a binding lane 0 runs on the home stream itself when
+//     the home has the binding's priority, so only lanes 1..n-1 fork and
+//     join and a one-task scope makes no event call (a DAG op's home
+//     already is its slice's stream 0; a serving slot's home replaces it).
 //
 // One ambient context, kern::DagOpBinding, routes scopes: the DAG op or
 // serving batch being issued binds its home stream and its slot of

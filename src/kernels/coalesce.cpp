@@ -24,7 +24,12 @@ struct ChainRunner {
 
 void Stager::flush(scuda::Context& ctx, const std::string& stem) {
   gpusim::DeviceEngine& dev = ctx.device();
-  for (Group& g : groups) {
+  // Close the window before submitting: even if a launch throws, no
+  // group of it can be flushed a second time.
+  const std::size_t n = live;
+  live = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Group& g = groups[i];
     GLP_CHECK(!g.staged.empty());
     const gpusim::StreamId target =
         ctx.faults().should_fail_launch() ? gpusim::kDefaultStream : g.stream;
@@ -37,10 +42,8 @@ void Stager::flush(scuda::Context& ctx, const std::string& stem) {
     gpusim::LaunchConfig cfg;
     gpusim::KernelCost cost;
     cfg.regs_per_thread = 0;
-    std::vector<gpusim::DeviceEngine::WorkFn> fns;
-    fns.reserve(g.staged.size());
     bool any_work = false;
-    for (Staged& s : g.staged) {
+    for (const Staged& s : g.staged) {
       cfg.grid.x = std::max(cfg.grid.x, s.config.grid.x);
       cfg.grid.y = std::max(cfg.grid.y, s.config.grid.y);
       cfg.grid.z = std::max(cfg.grid.z, s.config.grid.z);
@@ -56,20 +59,25 @@ void Stager::flush(scuda::Context& ctx, const std::string& stem) {
       cost.flops += s.cost.flops;
       cost.bytes += s.cost.bytes;
       any_work = any_work || static_cast<bool>(s.work);
-      fns.push_back(std::move(s.work));
     }
-    dev.launch_kernel(
-        target, stem + std::to_string(g.staged.size()), cfg, cost,
-        any_work ? gpusim::DeviceEngine::WorkFn(ChainRunner{std::move(fns)})
-                 : gpusim::DeviceEngine::WorkFn());
+    // Timing-only launches carry no functors: collect them only when some
+    // staged kernel has one.
+    gpusim::DeviceEngine::WorkFn work;
+    if (any_work) {
+      ChainRunner runner;
+      runner.fns.reserve(g.staged.size());
+      for (Staged& s : g.staged) runner.fns.push_back(std::move(s.work));
+      work = std::move(runner);
+    }
+    dev.launch_kernel(target, stem + std::to_string(g.staged.size()), cfg,
+                      cost, std::move(work));
   }
-  groups.clear();
 }
 
 void CoalescingDispatcher::begin_scope(const std::string& scope,
                                        std::size_t num_tasks) {
   inner_->begin_scope(scope, num_tasks);
-  GLP_CHECK(!stager_.armed && stager_.groups.empty());
+  GLP_CHECK(!stager_.armed && stager_.live == 0);
   scope_ = scope;
   // Ask *after* the inner begin_scope: the scheduler only knows whether
   // this run profiles or runs steady once the scope is open.

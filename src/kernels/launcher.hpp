@@ -27,6 +27,10 @@ namespace kern {
 ///    on its head op's stream, so it forms one group);
 ///  * kern::CoalescingDispatcher inside a steady parallel scope (one
 ///    group per lane stream).
+/// A long-lived stager (the coalescing dispatcher's, one per serving
+/// replica) keeps its groups and their buffers across flushes, so a
+/// steady scope stages without allocating once the first few scopes
+/// have sized them.
 struct Stager {
   struct Staged {
     std::string name;
@@ -39,23 +43,28 @@ struct Stager {
     std::vector<Staged> staged;
   };
   bool armed = false;
-  /// Kept in first-use order: flush submits streams in the order the
-  /// staging window first touched them.
+  /// groups[0, live) hold the current staging window in first-use order
+  /// (flush submits streams in the order the window first touched them);
+  /// groups past `live` are spent buffers kept for reuse, never flushed.
   std::vector<Group> groups;
+  std::size_t live = 0;
 
   void stage(gpusim::StreamId stream, Staged s) {
-    for (Group& g : groups) {
-      if (g.stream == stream) {
-        g.staged.push_back(std::move(s));
+    for (std::size_t i = 0; i < live; ++i) {
+      if (groups[i].stream == stream) {
+        groups[i].staged.push_back(std::move(s));
         return;
       }
     }
-    groups.push_back(Group{stream, {}});
-    groups.back().staged.push_back(std::move(s));
+    if (live == groups.size()) groups.emplace_back();
+    Group& g = groups[live++];
+    g.stream = stream;
+    g.staged.clear();  // drop the spent window's moved-from entries
+    g.staged.push_back(std::move(s));
   }
 
-  /// Submit every group as one launch on its stream and empty the
-  /// buffer. A lone staged kernel keeps its own name; a merged launch is
+  /// Submit every live group as one launch on its stream and empty the
+  /// window. A lone staged kernel keeps its own name; a merged launch is
   /// named `<stem><count>`, takes the per-field max config and the summed
   /// cost. Each launch draws should_fail_launch() once and, like
   /// Launcher::launch, re-issues on the legacy default stream when it

@@ -64,6 +64,7 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
       // Injected fault: this slot keeps the default stream. Its batches
       // then serialize with everything else — timing degrades, outputs
       // are identical.
+      ++home_fallbacks_;
     }
   }
   slot_busy_.assign(static_cast<std::size_t>(opts_.slots), false);
@@ -113,7 +114,8 @@ double InferenceServer::service_estimate_ns(int tenant) const {
 }
 
 std::size_t InferenceServer::serial_fallback_count() const {
-  return engine_ ? engine_->scheduler_for(*ctx_).serial_fallback_count() : 0;
+  return home_fallbacks_ +
+         (engine_ ? engine_->scheduler_for(*ctx_).serial_fallback_count() : 0);
 }
 
 void InferenceServer::prewarm() {

@@ -174,8 +174,10 @@ class InferenceServer {
   /// Per-request service estimate the admission feasibility check uses
   /// for `tenant` (simulated ns; 0 until warmed up or first reap).
   double service_estimate_ns(int tenant) const;
-  /// Scopes the GLP4NN scheduler degraded to serial dispatch after an
-  /// injected fault (0 under the serial baseline).
+  /// Fault degradations to serial dispatch: slots whose home-stream
+  /// creation failed (they run on the default stream) plus scopes the
+  /// GLP4NN scheduler serialised after an injected fault. 0 under the
+  /// serial baseline, which creates no streams.
   std::size_t serial_fallback_count() const;
 
   /// Run the warmup pass now instead of at replay() time. Idempotent —
@@ -226,6 +228,7 @@ class InferenceServer {
   std::vector<std::unique_ptr<InferenceSession>> sessions_;
   std::vector<Shard> shards_;         ///< one per tenant
   std::vector<scuda::Stream> homes_;  ///< one home stream per slot
+  std::size_t home_fallbacks_ = 0;    ///< slots left on the default stream
   std::vector<bool> slot_busy_;
   std::vector<InFlight> inflight_;
   std::uint64_t next_batch_id_ = 0;  ///< one id sequence across all shards

@@ -163,6 +163,43 @@ TEST_F(Fixture, CopyAndAddSlab) {
   EXPECT_EQ(dst[5], 8.0f);
 }
 
+// --- launch staging -------------------------------------------------------------------
+
+TEST_F(Fixture, StagerReusesGroupsWithoutReflushingThem) {
+  // A long-lived stager keeps its groups across flushes, and a spent
+  // group is never flushed again: the first window merges two kernels on
+  // stream A into one launch; the second stages one kernel on stream B,
+  // which launches alone under its own name and adds nothing on A.
+  const auto a = ctx.device().create_stream();
+  const auto b = ctx.device().create_stream();
+  kern::Stager stager;
+  Launcher staged = launcher;
+  staged.stager = &stager;
+  stager.armed = true;
+  std::vector<float> x(64), y(64), z(64);
+
+  kern::sfill(staged.with_stream(a), x.size(), 1.0f, x.data());
+  kern::sfill(staged.with_stream(a), y.size(), 2.0f, y.data());
+  stager.flush(ctx, "first/merged");
+  ctx.device().synchronize();
+  const auto& recs = ctx.device().timeline().kernels();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].name, "first/merged2");
+  EXPECT_EQ(recs[0].stream, a);
+  EXPECT_EQ(x[0], 1.0f);
+  EXPECT_EQ(y[0], 2.0f);
+
+  x[0] = 0.0f;
+  kern::sfill(staged.with_stream(b), z.size(), 3.0f, z.data());
+  stager.flush(ctx, "second/merged");
+  ctx.device().synchronize();
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[1].name, "fill_kernel");
+  EXPECT_EQ(recs[1].stream, b);
+  EXPECT_EQ(z[0], 3.0f);
+  EXPECT_EQ(x[0], 0.0f) << "the first window's functors ran again";
+}
+
 // --- dispatchers ----------------------------------------------------------------------
 
 TEST(FixedStreamDispatcher, RoundRobinLanes) {

@@ -277,7 +277,11 @@ TEST_F(SchedulerTest, SteadyScopeForksAndJoinsOnlyLanesWithTasks) {
   ctx.device().synchronize();
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(pool[static_cast<std::size_t>(i)].lane, i);
-    EXPECT_NE(pool[static_cast<std::size_t>(i)].stream, home);
+    if (i == 0) {
+      EXPECT_EQ(pool[0].stream, home);  // lane 0 runs on the home stream
+    } else {
+      EXPECT_NE(pool[static_cast<std::size_t>(i)].stream, home);
+    }
   }
 
   const std::vector<kern::Lane> narrow = issue("narrow", 2);
@@ -296,6 +300,81 @@ TEST_F(SchedulerTest, SteadyScopeForksAndJoinsOnlyLanesWithTasks) {
   }
   ctx.device().synchronize();
   s.clear_dag_op();
+}
+
+TEST_F(SchedulerTest, BoundScopeRunsLaneZeroOnItsHomeStream) {
+  // Under a binding, lane 0 runs on the home stream itself: stream FIFO
+  // orders it against the home, so a one-task scope makes no event call
+  // and a wider scope forks and joins only lanes 1 and up. Slice stream
+  // 0 is still created but gets no work.
+  SchedulerOptions opt;
+  opt.fixed_streams = 8;
+  RuntimeScheduler& s = scheduler(opt);
+  const gpusim::StreamId home = ctx.device().create_stream();
+  kern::DagOpBinding batch;
+  batch.home_stream = home;
+  s.bind_dag_op(batch);
+
+  const auto issue = [&](int tasks) {
+    s.begin_scope("conv/fwd", static_cast<std::size_t>(tasks));
+    std::vector<kern::Lane> lanes;
+    for (int i = 0; i < tasks; ++i) {
+      lanes.push_back(s.task_lane(static_cast<std::size_t>(i)));
+      ctx.device().launch_kernel(lanes.back().stream, "conv/fwd/work",
+                                 cfg(8, 256), {5e7, 5e7 / 4}, {});
+    }
+    s.end_scope();
+    return lanes;
+  };
+
+  const gpusim::EventId before = ctx.device().record_event(home);
+  const std::vector<kern::Lane> one = issue(1);
+  const gpusim::EventId after = ctx.device().record_event(home);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].stream, home);
+  EXPECT_EQ(one[0].lane, 0);
+  EXPECT_EQ(after, before + 1) << "a one-lane scope recorded an event";
+  ctx.device().synchronize();
+
+  const std::vector<kern::Lane> three = issue(3);
+  // The slice's stream 0 already exists, so this creates nothing.
+  const gpusim::StreamId slice0 =
+      engine->stream_manager().acquire_slice(ctx, 0, s.max_lanes(), 1)[0];
+  EXPECT_EQ(three[0].stream, home);
+  for (int i = 1; i < 3; ++i) {
+    const kern::Lane& lane = three[static_cast<std::size_t>(i)];
+    EXPECT_EQ(lane.lane, i);
+    EXPECT_NE(lane.stream, home);
+    EXPECT_NE(lane.stream, slice0);
+    EXPECT_FALSE(ctx.device().stream_idle(lane.stream));
+  }
+  EXPECT_NE(slice0, home);
+  EXPECT_TRUE(ctx.device().stream_idle(slice0))
+      << "slice stream 0 got work although lane 0 runs on the home stream";
+  ctx.device().synchronize();
+  s.clear_dag_op();
+}
+
+TEST_F(SchedulerTest, LaneZeroStaysOffAHomeOfAnotherPriority) {
+  // A prioritised tenant's slot home runs at priority 0; moving lane 0
+  // onto it would drop the lane's priority, so lane 0 keeps its slice
+  // stream, created at the binding's priority.
+  SchedulerOptions opt;
+  opt.fixed_streams = 4;
+  RuntimeScheduler& s = scheduler(opt);
+  const gpusim::StreamId home = ctx.device().create_stream();
+  kern::DagOpBinding batch;
+  batch.home_stream = home;
+  batch.priority = 3;
+  s.bind_dag_op(batch);
+  s.begin_scope("conv/fwd", 2);
+  const kern::Lane lane0 = s.task_lane(0);
+  s.end_scope();
+  s.clear_dag_op();
+  EXPECT_EQ(lane0.lane, 0);
+  EXPECT_NE(lane0.stream, home);
+  EXPECT_NE(lane0.stream, gpusim::kDefaultStream);
+  EXPECT_EQ(ctx.device().stream_priority(lane0.stream), 3);
 }
 
 TEST_F(SchedulerTest, BindingsMustNotNest) {

@@ -232,6 +232,66 @@ TEST(InferenceServer, TenantPriorityReachesItsSliceStreams) {
   EXPECT_EQ(priority5_kernels[0], 0u);
 }
 
+TEST(InferenceServer, OneRequestBatchesRecordOnlyTheirCompletionEvent) {
+  // Under light load each batch holds one request, so each steady scope
+  // runs one lane, on the slot's home stream, with no fork or join: the
+  // only event a batch records is its completion event.
+  scuda::Context ctx(gpusim::DeviceTable::p100());
+  serving::ServerOptions opts;
+  opts.mode = kern::ComputeMode::kTimingOnly;
+  serving::InferenceServer server(ctx, one_tenant(), opts);
+  server.prewarm();
+  constexpr int kRequests = 12;
+  std::vector<serving::InferenceRequest> trace;
+  for (int i = 0; i < kRequests; ++i) {
+    trace.push_back(at(static_cast<std::uint64_t>(i), 0, i * 1e6));  // 1 ms
+  }
+  gpusim::DeviceEngine& dev = ctx.device();
+  const gpusim::EventId before = dev.record_event(gpusim::kDefaultStream);
+  const auto records = server.replay(std::move(trace));
+  const gpusim::EventId after = dev.record_event(gpusim::kDefaultStream);
+
+  std::set<std::uint64_t> batches;
+  for (const auto& r : records) {
+    EXPECT_EQ(r.outcome, serving::Outcome::kServed) << "request " << r.id;
+    EXPECT_EQ(r.batch_size, 1) << "request " << r.id;
+    batches.insert(r.batch_id);
+  }
+  ASSERT_EQ(batches.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(after - before - 1, batches.size());
+}
+
+TEST(InferenceServer, HomeStreamFallbacksAreCounted) {
+  // A slot whose home-stream creation fails stays on the default stream:
+  // a fault degradation the fallback count reports, while the replay
+  // still serves every request.
+  const auto models = two_tenants();
+  scuda::Context ctx(gpusim::DeviceTable::p100());
+  scuda::FaultConfig faults;
+  faults.stream_create_failure_rate = 1.0;
+  ctx.faults().arm(faults);
+  serving::ServerOptions opts;
+  opts.mode = kern::ComputeMode::kTimingOnly;
+  opts.slots = 2;
+  serving::InferenceServer server(ctx, models, opts);
+  ctx.faults().disarm();
+  EXPECT_GE(server.serial_fallback_count(),
+            static_cast<std::size_t>(opts.slots));
+
+  serving::TraceSpec ts;
+  ts.requests = 30;
+  ts.rate_rps = 8000.0;
+  ts.tenants = 2;
+  ts.seed = glptest::test_seed(15);
+  ts.fill_inputs = false;
+  GLP_SCOPED_SEED(ts.seed);
+  const auto records = server.replay(serving::make_trace(ts, sizes_of(models)));
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(ts.requests));
+  for (const auto& r : records) {
+    EXPECT_EQ(r.outcome, serving::Outcome::kServed) << "request " << r.id;
+  }
+}
+
 TEST(InferenceServer, DeadlinesExpireQueuedRequests) {
   std::vector<serving::TenantModel> models;
   serving::TenantModel m;
