@@ -32,8 +32,7 @@ int main() {
     for (int s : fixed) {
       bench::RunConfig cfg;
       cfg.device = device;
-      cfg.mode = bench::Mode::kFixed;
-      cfg.fixed_streams = s;
+      bench::use_fixed_pool(cfg, s);
       const bench::RunResult r = bench::run_network(spec, {}, cfg);
       best = std::min(best, r.iteration_ms);
       row.push_back(glp::strformat("%.2f", r.iteration_ms));

@@ -38,7 +38,7 @@ RunResult run_network(const mc::NetSpec& spec,
                       const std::vector<std::string>& tracked,
                       const RunConfig& config) {
   scuda::Context ctx(config.device);
-  std::unique_ptr<kern::KernelDispatcher> fixed;
+  std::unique_ptr<kern::SerialDispatcher> serial;
   std::unique_ptr<glp4nn::Glp4nnEngine> engine;
 
   ctx.device().set_register_penalty_enabled(config.register_penalty);
@@ -49,16 +49,8 @@ RunResult run_network(const mc::NetSpec& spec,
   ec.dag_schedule = config.dag_schedule;
   switch (config.mode) {
     case Mode::kSerial:
-      fixed = std::make_unique<kern::SerialDispatcher>(ctx);
-      ec.dispatcher = fixed.get();
-      break;
-    case Mode::kFixed:
-      if (config.fixed_streams <= 1) {
-        fixed = std::make_unique<kern::SerialDispatcher>(ctx);
-      } else {
-        fixed = std::make_unique<kern::FixedStreamDispatcher>(ctx, config.fixed_streams);
-      }
-      ec.dispatcher = fixed.get();
+      serial = std::make_unique<kern::SerialDispatcher>(ctx);
+      ec.dispatcher = serial.get();
       break;
     case Mode::kGlp4nn:
       engine = std::make_unique<glp4nn::Glp4nnEngine>(config.scheduler);
@@ -111,6 +103,11 @@ RunResult run_network(const mc::NetSpec& spec,
   }
   result.device_bytes = ctx.peak_bytes_allocated();
   return result;
+}
+
+void use_fixed_pool(RunConfig& config, int streams) {
+  config.mode = streams > 1 ? Mode::kGlp4nn : Mode::kSerial;
+  config.scheduler.fixed_streams = streams;
 }
 
 std::vector<gpusim::DeviceProps> evaluation_gpus() {

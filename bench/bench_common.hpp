@@ -21,14 +21,12 @@ namespace bench {
 
 enum class Mode {
   kSerial,     ///< naive-Caffe baseline: default stream only
-  kFixed,      ///< manual multi-stream baseline (Figs. 2 and 4)
-  kGlp4nn,     ///< the full framework
+  kGlp4nn,     ///< the framework's RuntimeScheduler
 };
 
 struct RunConfig {
   gpusim::DeviceProps device = gpusim::DeviceTable::p100();
   Mode mode = Mode::kSerial;
-  int fixed_streams = 1;               ///< used when mode == kFixed
   glp4nn::SchedulerOptions scheduler;  ///< used when mode == kGlp4nn
   int warmup_iterations = 1;           ///< includes GLP4NN's profiling pass
   int measured_iterations = 2;
@@ -60,6 +58,13 @@ struct RunResult {
 RunResult run_network(const mc::NetSpec& spec,
                       const std::vector<std::string>& tracked,
                       const RunConfig& config);
+
+/// Set `config` to a manually fixed pool of `streams` streams (the
+/// baseline of Figs. 2 and 4): the scheduler pinned with `fixed_streams`,
+/// bypassing the analytical model. One stream runs serial dispatch
+/// instead, because a one-stream scheduler pool still posts a
+/// default-stream event per scope.
+void use_fixed_pool(RunConfig& config, int streams);
 
 /// The three evaluation GPUs of Table 3, in paper order.
 std::vector<gpusim::DeviceProps> evaluation_gpus();

@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   for (int s : stream_counts) {
     bench::RunConfig cfg;
     cfg.device = gpusim::DeviceTable::p100();
-    cfg.mode = bench::Mode::kFixed;
-    cfg.fixed_streams = s;
+    bench::use_fixed_pool(cfg, s);
     cfg.forward_only = true;
     cfg.warmup_iterations = 1;
     cfg.measured_iterations = 1;

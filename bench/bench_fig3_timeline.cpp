@@ -55,15 +55,15 @@ void render(const std::vector<gpusim::KernelRecord>& records,
 
 void run_case(int streams) {
   scuda::Context ctx(gpusim::DeviceTable::p100());
-  std::unique_ptr<kern::KernelDispatcher> dispatcher;
-  if (streams <= 1) {
-    dispatcher = std::make_unique<kern::SerialDispatcher>(ctx);
-  } else {
-    dispatcher = std::make_unique<kern::FixedStreamDispatcher>(ctx, streams);
-  }
+  // One stream is the serial baseline; more is a fixed scheduler pool.
+  kern::SerialDispatcher serial(ctx);
+  glp4nn::SchedulerOptions fixed_pool;
+  fixed_pool.fixed_streams = streams;
+  glp4nn::Glp4nnEngine engine(fixed_pool);
   mc::ExecContext ec;
   ec.ctx = &ctx;
-  ec.dispatcher = dispatcher.get();
+  ec.dispatcher = &serial;
+  if (streams > 1) ec.dispatcher = &engine.scheduler_for(ctx);
   ec.mode = kern::ComputeMode::kTimingOnly;
   mc::Net net(mc::models::lenet(64), ec);
 

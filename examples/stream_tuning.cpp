@@ -45,13 +45,15 @@ int main() {
     double best = 1e30;
     int best_s = 1;
     for (int s : sweep) {
+      // A manual sweep: the scheduler's pool pinned at s streams, skipping
+      // the model (one stream is the serial baseline).
       scuda::Context gpu(props);
-      std::unique_ptr<kern::KernelDispatcher> d;
-      if (s == 1) {
-        d = std::make_unique<kern::SerialDispatcher>(gpu);
-      } else {
-        d = std::make_unique<kern::FixedStreamDispatcher>(gpu, s);
-      }
+      kern::SerialDispatcher serial(gpu);
+      glp4nn::SchedulerOptions manual;
+      manual.fixed_streams = s;
+      glp4nn::Glp4nnEngine engine(manual);
+      kern::KernelDispatcher* d = &serial;
+      if (s > 1) d = &engine.scheduler_for(gpu);
       const double ms = iteration_ms(gpu, *d, 1, 2);
       if (ms < best) {
         best = ms;

@@ -81,8 +81,12 @@ void RuntimeScheduler::begin_scope(const std::string& scope,
   GLP_REQUIRE(mode_ == Mode::kIdle, "dispatch scopes must not nest");
   current_scope_ = scope;
   current_tasks_ = num_tasks;
+  current_state_ = &scopes_[scope];
+  // W of the binding's slot slices: the clamped device concurrency split
+  // evenly over its slots (see acquire_scope_pool).
+  current_state_->slice_width = std::max(1, max_lanes() / binding_.num_slots);
 
-  if (serial_scopes_.count(scope) != 0) {
+  if (current_state_->serial) {
     // A fault degraded this scope to the serial baseline. It stays serial
     // *within its op or batch*: the binding's home stream, not the
     // device-wide default stream, keeps independent ops and other
@@ -116,13 +120,9 @@ void RuntimeScheduler::begin_steady(int count) {
   pool_.resize(
       std::min(pool_.size(), std::max<std::size_t>(current_tasks_, 1)));
   // Lane 0 runs on the home stream itself: stream FIFO orders it against
-  // the home's other work, so the fork and join below skip it. A home of
-  // another priority (a prioritised tenant's slot) would change the
-  // lane's admission priority, so lane 0 keeps its slice stream there.
-  const gpusim::StreamId home = binding_.home_stream;
-  if (home != gpusim::kDefaultStream &&
-      ctx_->device().stream_priority(home) == binding_.priority) {
-    pool_[0] = home;
+  // the home's other work, so the fork and join below skip it.
+  if (binding_.home_stream != gpusim::kDefaultStream) {
+    pool_[0] = binding_.home_stream;
   }
   mode_ = Mode::kSteady;
   fork_from_home();
@@ -140,16 +140,15 @@ std::vector<gpusim::StreamId> RuntimeScheduler::acquire_scope_pool(int count) {
   // shrinks it, preserving the stream-stable gradient-slot order the
   // bit-exact contract relies on. Unbound (slot 0 of 1) this is the
   // pool's first `count` streams.
-  const int slice_width = std::max(1, max_lanes() / binding_.num_slots);
-  const int used = clamp_streams(std::min(std::max(1, count), slice_width));
+  const int width = current_state_->slice_width;
+  const int used = clamp_streams(std::min(std::max(1, count), width));
   try {
-    return streams_->acquire_slice(*ctx_, binding_.slot, slice_width, used,
-                                   binding_.priority);
+    return streams_->acquire_slice(*ctx_, binding_.slot, width, used);
   } catch (const scuda::StreamCreateFailed&) {
     // Stream handles ran out (injected): degrade this scope to serial
     // dispatch permanently. Already-created pool streams stay in the
     // manager for scopes whose pools fit in them.
-    serial_scopes_.insert(current_scope_);
+    current_state_->serial = true;
     return std::vector<gpusim::StreamId>(1, binding_.home_stream);
   }
 }
@@ -204,8 +203,8 @@ void RuntimeScheduler::end_scope() {
       // record loss). Retry on the next encounter a bounded number of
       // times, then give up and serialise the scope — an undecided scope
       // must never profile forever.
-      if (++profile_attempts_[current_scope_] >= kMaxProfileAttempts) {
-        serial_scopes_.insert(current_scope_);
+      if (++current_state_->profile_attempts >= kMaxProfileAttempts) {
+        current_state_->serial = true;
       }
     }
     // An empty scope (zero tasks) yields no decision; it will profile
@@ -227,6 +226,7 @@ void RuntimeScheduler::end_scope() {
   }
   mode_ = Mode::kIdle;
   current_scope_.clear();
+  current_state_ = nullptr;
 }
 
 void RuntimeScheduler::bind_dag_op(const kern::DagOpBinding& binding) {
@@ -374,8 +374,7 @@ std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(
     const int slot = slot_of[static_cast<std::size_t>(c)];
     try {
       chain_home[static_cast<std::size_t>(c)] =
-          streams_->acquire_slice(*ctx_, slot, slice_width, 1,
-                                  /*priority=*/0)[0];
+          streams_->acquire_slice(*ctx_, slot, slice_width, 1)[0];
     } catch (const scuda::StreamCreateFailed&) {
       chain_home[static_cast<std::size_t>(c)] = gpusim::kDefaultStream;
     }
@@ -404,11 +403,26 @@ std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(
   return placements;
 }
 
+std::size_t RuntimeScheduler::serial_fallback_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(scopes_.begin(), scopes_.end(),
+                    [](const auto& entry) { return entry.second.serial; }));
+}
+
 int RuntimeScheduler::stream_count(const std::string& scope) const {
-  if (serial_scopes_.count(scope) != 0) return 1;
-  if (options_.fixed_streams > 0) return clamp_streams(options_.fixed_streams);
-  const ConcurrencyDecision* decision = analyzer_->decision(scope);
-  return decision == nullptr ? 0 : clamp_streams(decision->stream_count);
+  const auto it = scopes_.find(scope);
+  if (it != scopes_.end() && it->second.serial) return 1;
+  int count = options_.fixed_streams;
+  if (count == 0) {
+    const ConcurrencyDecision* decision = analyzer_->decision(scope);
+    if (decision == nullptr) return 0;
+    count = decision->stream_count;
+  }
+  // What acquire_scope_pool hands the scope: the count cut to its slot
+  // slice (a scope that has not run yet counts as unbound).
+  const int width = it != scopes_.end() ? it->second.slice_width
+                                        : max_lanes();
+  return clamp_streams(std::min(std::max(1, count), width));
 }
 
 }  // namespace glp4nn

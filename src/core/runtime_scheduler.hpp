@@ -17,10 +17,10 @@
 //     but get no work). end_scope posts an asynchronous default-stream
 //     barrier, or, under a binding with a home stream, joins each used
 //     lane back to that home stream (which begin_scope forked them from).
-//     Under such a binding lane 0 runs on the home stream itself when
-//     the home has the binding's priority, so only lanes 1..n-1 fork and
-//     join and a one-task scope makes no event call (a DAG op's home
-//     already is its slice's stream 0; a serving slot's home replaces it).
+//     Under such a binding lane 0 runs on the home stream itself, so only
+//     lanes 1..n-1 fork and join and a one-task scope makes no event call
+//     (a DAG op's home already is its slice's stream 0; a serving slot's
+//     home replaces it).
 //
 // One ambient context, kern::DagOpBinding, routes scopes: the DAG op or
 // serving batch being issued binds its home stream and its slot of
@@ -30,10 +30,10 @@
 //
 // Options cover the ablations DESIGN.md lists: dispatch policy, a stream
 // cap, strict-repro pool rounding (bit-identical training), and a fixed
-// pool size that bypasses the model (the Fig. 2/4 manual baseline).
+// pool size that bypasses the model (the Fig. 2/4 manual baseline; every
+// fixed-size pool in the repository runs on this scheduler).
 
 #include <map>
-#include <set>
 #include <string>
 
 #include "core/kernel_analyzer.hpp"
@@ -96,17 +96,19 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
       const std::vector<kern::DagOp>& ops) override;
   /// Route the next issued op's or serving batch's scopes: fork/join
   /// against the binding's home stream (instead of the device-wide default
-  /// barrier) and expand pools only within its slot slice, creating slice
-  /// streams at its priority. Only the slice streams that receive a task
-  /// are forked and joined. Bindings must not nest: a second bind before
-  /// clear_dag_op() throws, as a nested begin_scope does.
+  /// barrier) and expand pools only within its slot slice. Only the slice
+  /// streams that receive a task are forked and joined. Bindings must not
+  /// nest: a second bind before clear_dag_op() throws, as a nested
+  /// begin_scope does.
   void bind_dag_op(const kern::DagOpBinding& binding) override;
   void clear_dag_op() override;
   /// Concurrent scope groups that completed a joint analyzer solve.
   std::size_t dag_joint_groups() const { return dag_joint_groups_; }
 
   // --- introspection -----------------------------------------------------------
-  /// Stream count the scheduler uses for a scope (0 if not yet decided).
+  /// Streams the scope's pool holds (0 if not yet decided): the fixed or
+  /// decided count, cut to the slot slice of the binding the scope last
+  /// ran under, as acquire_scope_pool hands it out.
   int stream_count(const std::string& scope) const;
   const KernelAnalyzer& analyzer() const { return *analyzer_; }
   KernelAnalyzer& analyzer() { return *analyzer_; }
@@ -132,10 +134,11 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
 
   /// True when a fault permanently degraded `scope` to serial dispatch.
   bool scope_serialized(const std::string& scope) const {
-    return serial_scopes_.count(scope) != 0;
+    const auto it = scopes_.find(scope);
+    return it != scopes_.end() && it->second.serial;
   }
   /// Number of scopes degraded to serial dispatch by injected faults.
-  std::size_t serial_fallback_count() const { return serial_scopes_.size(); }
+  std::size_t serial_fallback_count() const;
 
   /// Empty profiling captures tolerated before a scope is serialised.
   static constexpr int kMaxProfileAttempts = 3;
@@ -163,14 +166,21 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   StreamManager* streams_;
   SchedulerOptions options_;
 
+  /// What the scheduler remembers about one scope across encounters.
+  struct ScopeState {
+    bool serial = false;       ///< a fault degraded it to serial dispatch
+    int profile_attempts = 0;  ///< empty profiling captures so far
+    int slice_width = 0;       ///< slice width of the binding it last ran under
+  };
+
   enum class Mode { kIdle, kProfiling, kSteady };
   Mode mode_ = Mode::kIdle;
   std::string current_scope_;
+  ScopeState* current_state_ = nullptr;  ///< scopes_ entry of the open scope
   std::size_t current_tasks_ = 0;
   std::vector<gpusim::StreamId> pool_;
   double scheduling_ms_ = 0.0;
-  std::set<std::string> serial_scopes_;        ///< fault-degraded scopes
-  std::map<std::string, int> profile_attempts_;  ///< empty captures per scope
+  std::map<std::string, ScopeState> scopes_;
   kern::DagOpBinding binding_;  ///< default: default-stream home, slot 0 of 1
   bool bound_ = false;          ///< bind_dag_op ran and clear_dag_op has not
   /// Profiles stashed for concurrent-group members awaiting a joint solve.

@@ -9,8 +9,7 @@ namespace glp4nn {
 std::vector<gpusim::StreamId> StreamManager::acquire_slice(scuda::Context& ctx,
                                                            int slice,
                                                            int slice_width,
-                                                           int use_width,
-                                                           int priority) {
+                                                           int use_width) {
   GLP_REQUIRE(slice >= 0, "slice index must be non-negative");
   GLP_REQUIRE(slice_width >= 1, "slice width must be positive");
   GLP_REQUIRE(use_width >= 1 && use_width <= slice_width,
@@ -22,15 +21,9 @@ std::vector<gpusim::StreamId> StreamManager::acquire_slice(scuda::Context& ctx,
                              << ctx.props().max_concurrent_kernels);
   std::vector<scuda::Stream>& pool = pools_[&ctx];
   const int base = slice * slice_width;
-  // Filler streams below this slice belong to other slots: create them
-  // with default priority so this caller's priority never sticks to a
-  // lower slot's slice (priority only applies at creation).
-  while (static_cast<int>(pool.size()) < base) {
-    pool.push_back(scuda::Stream::create(ctx));
-  }
   const int total = base + use_width;
   while (static_cast<int>(pool.size()) < total) {
-    pool.push_back(scuda::Stream::create(ctx, priority));
+    pool.push_back(scuda::Stream::create(ctx));
   }
   std::vector<gpusim::StreamId> ids;
   ids.reserve(static_cast<std::size_t>(use_width));

@@ -26,13 +26,8 @@ class StreamManager {
   /// so slices from concurrent slots can never overlap even when callers
   /// use different use_widths; slice 0 of the full width is the shared
   /// pool unbound scopes draw from.
-  /// Streams this call creates inside the slice take `priority`; filler
-  /// streams below the slice (they belong to other slots) are created
-  /// with default priority. Streams already in the pool keep the
-  /// priority they were created with.
   std::vector<gpusim::StreamId> acquire_slice(scuda::Context& ctx, int slice,
-                                              int slice_width, int use_width,
-                                              int priority = 0);
+                                              int slice_width, int use_width);
 
   /// Current pool size for a device (0 before first acquire).
   int pool_size(const scuda::Context& ctx) const;

@@ -9,12 +9,11 @@
 //   dispatcher.end_scope();   // async barrier on the default stream
 //
 // Implementations:
-//  * SerialDispatcher     — everything on the default stream (naive Caffe).
-//  * FixedStreamDispatcher — round-robin over a fixed pool (the manual
-//    multi-stream baseline of Figs. 2 and 4).
+//  * SerialDispatcher — everything on the default stream (naive Caffe).
 //  * glp4nn::RuntimeScheduler (src/core) — the paper's contribution:
 //    profiles the scope once, sizes the pool with the analytical model,
-//    then round-robins.
+//    then round-robins. Its `fixed_streams` option pins the pool size
+//    instead (the manual multi-stream baseline of Figs. 2 and 4).
 
 #include <string>
 #include <vector>
@@ -75,9 +74,6 @@ struct DagOpBinding {
   /// Scope names of ops that may run concurrently with this one (used by
   /// DAG-aware schedulers to size heterogeneous concurrent pools jointly).
   std::vector<std::string> concurrent_scopes;
-  /// Priority of the slice streams the binding's scopes create (a serving
-  /// tenant's priority; DAG ops keep the default).
-  int priority = 0;
 };
 
 class KernelDispatcher {
@@ -102,9 +98,9 @@ class KernelDispatcher {
   /// True while the *current* scope may have its per-lane kernel chains
   /// coalesced into one merged launch per stream (see
   /// kern::CoalescingDispatcher). Default false; the GLP4NN scheduler
-  /// returns true only for steady (already-profiled) scopes — profiling
-  /// scopes need their individual kernels visible to the tracker, and the
-  /// serial/fixed baselines stay launch-for-launch honest.
+  /// returns true only for steady (already-profiled or fixed-pool) scopes
+  /// — profiling scopes need their individual kernels visible to the
+  /// tracker, and the serial baseline stays launch-for-launch honest.
   virtual bool scope_coalescable() const { return false; }
 
   // --- inter-operator DAG scheduling (optional capability) -----------------
@@ -139,22 +135,6 @@ class SerialDispatcher final : public KernelDispatcher {
 
  private:
   scuda::Context* ctx_;
-};
-
-/// Manual multi-stream baseline with a fixed, user-chosen pool size.
-class FixedStreamDispatcher final : public KernelDispatcher {
- public:
-  FixedStreamDispatcher(scuda::Context& ctx, int num_streams);
-
-  void begin_scope(const std::string& scope, std::size_t num_tasks) override;
-  Lane task_lane(std::size_t index) override;
-  int max_lanes() const override { return static_cast<int>(streams_.size()); }
-  void end_scope() override;
-
- private:
-  scuda::Context* ctx_;
-  std::vector<scuda::Stream> streams_;
-  bool in_scope_ = false;
 };
 
 }  // namespace kern

@@ -1,10 +1,10 @@
 #pragma once
 // Execution environment a Net runs in: the simulated device, the kernel
-// dispatcher (serial baseline / fixed streams / GLP4NN scheduler), the
-// compute mode, and the deterministic RNG feeding fillers, dropout masks
-// and data shuffling. Swapping only the dispatcher is how the paper's
-// "GLP4NN-Caffe vs naive-Caffe" comparisons are run — everything else is
-// bit-identical.
+// dispatcher (serial baseline or GLP4NN scheduler, analyzer-sized or
+// fixed pool), the compute mode, and the deterministic RNG feeding
+// fillers, dropout masks and data shuffling. Swapping only the dispatcher
+// is how the paper's "GLP4NN-Caffe vs naive-Caffe" comparisons are run —
+// everything else is bit-identical.
 
 #include <map>
 #include <string>

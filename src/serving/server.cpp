@@ -135,8 +135,7 @@ void InferenceServer::warmup() {
     const auto run_once = [&](int b) {
       InferenceSession::Replica& r = sessions_[static_cast<std::size_t>(t)]
                                          ->checkout(b);
-      dispatcher_->bind_dag_op({home, slot, opts_.slots, {},
-                                models_[static_cast<std::size_t>(t)].priority});
+      dispatcher_->bind_dag_op({home, slot, opts_.slots, {}});
       dev.set_current_tenant(t);
       sessions_[static_cast<std::size_t>(t)]->run_batch(r, {}, home);
       dev.set_current_tenant(-1);
@@ -211,8 +210,7 @@ void InferenceServer::issue(int tenant, gpusim::SimTime now) {
 
   gpusim::DeviceEngine& dev = ctx_->device();
   const gpusim::StreamId home = homes_[static_cast<std::size_t>(slot)].id();
-  dispatcher_->bind_dag_op({home, slot, opts_.slots, {},
-                            models_[static_cast<std::size_t>(tenant)].priority});
+  dispatcher_->bind_dag_op({home, slot, opts_.slots, {}});
   dev.set_current_tenant(tenant);
   sess.run_batch(r, samples, home);
   const gpusim::EventId done = dev.record_event(home);

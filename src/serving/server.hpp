@@ -5,11 +5,11 @@
 // tenants never contend on a shared queue — and `slots` concurrent
 // in-flight batch slots, each a dedicated home stream. Each batch binds
 // its slot like a DAG op (kern::DagOpBinding: home stream, slot of
-// `slots`, tenant priority), so under the GLP4NN scheduler its per-sample
-// scopes run on a disjoint slice of the stream pool and fork/join
-// against the slot's home stream, and batches from different tenants
-// overlap on the device; the serial baseline ignores the binding and
-// funnels everything through the default stream.
+// `slots`), so under the GLP4NN scheduler its per-sample scopes run on a
+// disjoint slice of the stream pool and fork/join against the slot's
+// home stream, and batches from different tenants overlap on the device;
+// the serial baseline ignores the binding and funnels everything through
+// the default stream.
 //
 // Admission pipeline (per request, at enqueue time):
 //   1. token bucket — a tenant whose bucket is dry is over its contracted
@@ -75,7 +75,6 @@ struct TenantQos {
 struct TenantModel {
   std::string name;
   mc::NetSpec spec;
-  int priority = 0;      ///< stream priority for the tenant's slice
   std::string weights;   ///< optional checkpoint path
   TenantQos qos;         ///< admission rate contract (optional)
 };

@@ -93,17 +93,20 @@ TEST(ConvergenceInvariance, FreeModeMatchesWithinFloatTolerance) {
 TEST(ConvergenceInvariance, ForwardPassBitIdenticalAnyStreams) {
   // Forward writes are disjoint per sample → bit-identical regardless of
   // stream count, even without strict mode.
-  auto run = [](int streams) {
-    Env env(gpusim::DeviceTable::p100(), streams);
-    Net net(mc::models::cifar10_quick(40), env.ec);
+  const auto output = [](mc::ExecContext& ec) {
+    Net net(mc::models::cifar10_quick(40), ec);
     net.forward();
-    env.sync();
+    ec.ctx->device().synchronize();
     const mc::Blob* out = net.blob("ip2");
     return glptest::snapshot(out->data(), out->count());
   };
-  const auto base = run(1);
+  Env serial;
+  const auto base = output(serial.ec);
   for (int streams : {2, 3, 5, 8}) {
-    EXPECT_EQ(glptest::max_abs_diff(base, run(streams)), 0.0) << streams;
+    glp4nn::SchedulerOptions fixed;
+    fixed.fixed_streams = streams;
+    GlpEnv glp(gpusim::DeviceTable::p100(), fixed);
+    EXPECT_EQ(glptest::max_abs_diff(base, output(glp.ec)), 0.0) << streams;
   }
 }
 
@@ -196,7 +199,7 @@ TEST(Speedup, ConvHeavyNetFasterUnderGlp4nnSteadyState) {
     }
     return (ctx.device().host_now() - t0) / 2.0;
   };
-  Env serial(gpusim::DeviceTable::p100(), 0, kern::ComputeMode::kTimingOnly);
+  Env serial(gpusim::DeviceTable::p100(), kern::ComputeMode::kTimingOnly);
   GlpEnv glp(gpusim::DeviceTable::p100(), {}, kern::ComputeMode::kTimingOnly);
   const double serial_ns = iteration_time(serial.ec, serial.ctx);
   const double glp_ns = iteration_time(glp.ec, glp.ctx);

@@ -202,35 +202,6 @@ TEST_F(Fixture, StagerReusesGroupsWithoutReflushingThem) {
 
 // --- dispatchers ----------------------------------------------------------------------
 
-TEST(FixedStreamDispatcher, RoundRobinLanes) {
-  scuda::Context ctx(gpusim::DeviceTable::p100());
-  kern::FixedStreamDispatcher d(ctx, 3);
-  EXPECT_EQ(d.max_lanes(), 3);
-  d.begin_scope("s", 7);
-  const auto l0 = d.task_lane(0);
-  const auto l3 = d.task_lane(3);
-  const auto l5 = d.task_lane(5);
-  EXPECT_EQ(l0.lane, 0);
-  EXPECT_EQ(l3.lane, 0);
-  EXPECT_EQ(l0.stream, l3.stream);
-  EXPECT_EQ(l5.lane, 2);
-  d.end_scope();
-}
-
-TEST(FixedStreamDispatcher, ScopesMustNotNest) {
-  scuda::Context ctx(gpusim::DeviceTable::p100());
-  kern::FixedStreamDispatcher d(ctx, 2);
-  d.begin_scope("a", 1);
-  EXPECT_THROW(d.begin_scope("b", 1), glp::InvalidArgument);
-  d.end_scope();
-  EXPECT_THROW(d.end_scope(), glp::InvalidArgument);
-}
-
-TEST(FixedStreamDispatcher, RejectsNonPositivePool) {
-  scuda::Context ctx(gpusim::DeviceTable::p100());
-  EXPECT_THROW(kern::FixedStreamDispatcher(ctx, 0), glp::InvalidArgument);
-}
-
 TEST(SerialDispatcher, AlwaysDefaultStream) {
   scuda::Context ctx(gpusim::DeviceTable::p100());
   kern::SerialDispatcher d(ctx);
@@ -241,26 +212,6 @@ TEST(SerialDispatcher, AlwaysDefaultStream) {
   }
   d.end_scope();
   EXPECT_EQ(d.max_lanes(), 1);
-}
-
-TEST(FixedStreamDispatcher, EndScopeOrdersLaterDefaultWork) {
-  scuda::Context ctx(gpusim::DeviceTable::p100());
-  kern::FixedStreamDispatcher d(ctx, 2);
-  std::vector<int> order;
-  gpusim::LaunchConfig cfg;
-  cfg.grid = {8, 1, 1};
-  cfg.block = {256, 1, 1};
-  d.begin_scope("s", 2);
-  for (int i = 0; i < 2; ++i) {
-    ctx.device().launch_kernel(d.task_lane(static_cast<std::size_t>(i)).stream,
-                               "w", cfg, {1e8, 1e7}, [&order] { order.push_back(0); });
-  }
-  d.end_scope();
-  ctx.device().launch_kernel(gpusim::kDefaultStream, "after", cfg, {1e3, 1e3},
-                             [&order] { order.push_back(1); });
-  ctx.device().synchronize();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[2], 1);  // "after" observed the whole scope
 }
 
 }  // namespace

@@ -485,25 +485,29 @@ TEST_F(ExtLayerTest, DeconvolutionGradients) {
 }
 
 TEST_F(ExtLayerTest, DeconvolutionRunsUnderConcurrentDispatch) {
-  // Per-sample dispatch: forward must be bit-identical serial vs 4 streams.
-  auto run = [&](int streams) {
-    Env e(gpusim::DeviceTable::p100(), streams);
+  // Per-sample dispatch: forward must be bit-identical serial vs a fixed
+  // 4-stream scheduler pool.
+  auto run = [&](mc::ExecContext& ec) {
     LayerSpec s = spec_of("Deconvolution");
     s.params.num_output = 2;
     s.params.kernel_size = 4;
     s.params.stride = 2;
     s.params.pad = 1;
     s.params.weight_filler = mc::FillerSpec::gaussian(0.2f);
-    auto layer = mc::create_layer(s, e.ec);
-    Blob in(e.ctx, {8, 3, 5, 5}), out(e.ctx);
+    auto layer = mc::create_layer(s, ec);
+    Blob in(*ec.ctx, {8, 3, 5, 5}), out(*ec.ctx);
     layer->setup({&in}, {&out});
     glp::Rng r(5);
     glptest::fill_random(in, r);
     layer->forward({&in}, {&out});
-    e.ctx.device().synchronize();
+    ec.ctx->device().synchronize();
     return glptest::snapshot(out.data(), out.count());
   };
-  EXPECT_EQ(glptest::max_abs_diff(run(1), run(4)), 0.0);
+  Env serial;
+  glp4nn::SchedulerOptions fixed;
+  fixed.fixed_streams = 4;
+  glptest::GlpEnv glp(gpusim::DeviceTable::p100(), fixed);
+  EXPECT_EQ(glptest::max_abs_diff(run(serial.ec), run(glp.ec)), 0.0);
 }
 
 // --- parser coverage for the new fields -------------------------------------------------

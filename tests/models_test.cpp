@@ -64,7 +64,7 @@ class Table5 : public ::testing::TestWithParam<Table5Row> {
     static std::map<std::string, std::pair<std::unique_ptr<Env>, std::unique_ptr<Net>>> cache;
     auto it = cache.find(name);
     if (it == cache.end()) {
-      auto env = std::make_unique<Env>(gpusim::DeviceTable::p100(), 0,
+      auto env = std::make_unique<Env>(gpusim::DeviceTable::p100(),
                                        kern::ComputeMode::kTimingOnly);
       auto net = std::make_unique<Net>(spec_for(name), env->ec);
       it = cache.emplace(name, std::make_pair(std::move(env), std::move(net))).first;
@@ -116,7 +116,7 @@ TEST(Models, PaperNetworksListsFour) {
 
 TEST(Models, TrackedConvLayersExist) {
   for (const auto& [name, spec] : mc::models::paper_networks()) {
-    Env env(gpusim::DeviceTable::p100(), 0, kern::ComputeMode::kTimingOnly);
+    Env env(gpusim::DeviceTable::p100(), kern::ComputeMode::kTimingOnly);
     Net net(spec, env.ec);
     for (const std::string& layer : mc::models::tracked_conv_layers(name)) {
       EXPECT_NE(net.layer_by_name(layer), nullptr) << name << "/" << layer;
@@ -205,7 +205,7 @@ TEST(Models, GoogLeNetTailDagBitIdenticalToSerial) {
 }
 
 TEST(Models, GoogLeNetConcatWidths) {
-  Env env(gpusim::DeviceTable::p100(), 0, kern::ComputeMode::kTimingOnly);
+  Env env(gpusim::DeviceTable::p100(), kern::ComputeMode::kTimingOnly);
   Net net(mc::models::googlenet_tail(2), env.ec);
   // 5a output: 256+320+128+128 = 832; 5b: 384+384+128+128 = 1024.
   EXPECT_EQ(net.blob("inception_5a/output")->channels(), 832);
@@ -213,7 +213,7 @@ TEST(Models, GoogLeNetConcatWidths) {
 }
 
 TEST(Models, CaffeNetShapesFlowToFc) {
-  Env env(gpusim::DeviceTable::p100(), 0, kern::ComputeMode::kTimingOnly);
+  Env env(gpusim::DeviceTable::p100(), kern::ComputeMode::kTimingOnly);
   Net net(mc::models::caffenet(2), env.ec);
   EXPECT_EQ(net.blob("conv1")->height(), 55);
   EXPECT_EQ(net.blob("pool1")->height(), 27);

@@ -223,7 +223,7 @@ TEST(Net, LossIsWeighted) {
 }
 
 TEST(Net, TimingOnlyModeRunsWithoutNumerics) {
-  Env env(gpusim::DeviceTable::p100(), 0, kern::ComputeMode::kTimingOnly);
+  Env env(gpusim::DeviceTable::p100(), kern::ComputeMode::kTimingOnly);
   Net net(mc::models::cifar10_quick(10), env.ec);
   net.forward();
   net.backward();

@@ -120,6 +120,68 @@ TEST_F(SchedulerTest, FixedStreamsBypassesProfiling) {
   EXPECT_FALSE(engine->analyzer_for(ctx)->has_decision("never/profiled"));
 }
 
+TEST_F(SchedulerTest, RejectsNegativeFixedPool) {
+  // fixed_streams = 0 means "ask the analyzer"; a negative pool is an error.
+  SchedulerOptions opt;
+  opt.fixed_streams = -1;
+  EXPECT_THROW(scheduler(opt), glp::InvalidArgument);
+}
+
+TEST_F(SchedulerTest, EndScopeOrdersLaterDefaultWork) {
+  // An unbound steady scope's end_scope posts an asynchronous barrier on
+  // the default stream: later work, on the default stream or on another
+  // stream, observes every kernel of the scope.
+  SchedulerOptions opt;
+  opt.fixed_streams = 2;
+  RuntimeScheduler& s = scheduler(opt);
+  const gpusim::StreamId other = ctx.device().create_stream();
+  for (gpusim::StreamId later : {gpusim::kDefaultStream, other}) {
+    std::vector<int> order;
+    s.begin_scope("s", 2);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const kern::Lane lane = s.task_lane(i);
+      EXPECT_NE(lane.stream, later);
+      ctx.device().launch_kernel(lane.stream, "w", cfg(8, 256), {1e8, 1e7},
+                                 [&order] { order.push_back(0); });
+    }
+    s.end_scope();
+    ctx.device().launch_kernel(later, "after", cfg(8, 256), {1e3, 1e3},
+                               [&order] { order.push_back(1); });
+    ctx.device().synchronize();
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[2], 1) << "work on stream " << later
+                           << " overtook the scope";
+  }
+}
+
+TEST_F(SchedulerTest, StreamCountReportsTheBoundSlice) {
+  // A bound scope's pool is cut to its slot slice (P100: 128 streams over
+  // 16 slots gives 8 per slot), and stream_count reports that cut pool,
+  // under the binding the scope last ran under.
+  SchedulerOptions opt;
+  opt.fixed_streams = 16;
+  RuntimeScheduler& s = scheduler(opt);
+  ASSERT_EQ(s.max_lanes(), 128);
+  const auto pool_of = [&] {
+    s.begin_scope("conv/fwd", 16);
+    std::set<gpusim::StreamId> pool;
+    for (std::size_t i = 0; i < 16; ++i) pool.insert(s.task_lane(i).stream);
+    s.end_scope();
+    return pool.size();
+  };
+  kern::DagOpBinding op;
+  op.num_slots = 16;
+  s.bind_dag_op(op);
+  EXPECT_EQ(pool_of(), 8u);
+  s.clear_dag_op();
+  EXPECT_EQ(s.stream_count("conv/fwd"), 8);
+
+  EXPECT_EQ(pool_of(), 16u);
+  EXPECT_EQ(s.stream_count("conv/fwd"), 16);
+  // A scope that has not run yet counts as unbound.
+  EXPECT_EQ(s.stream_count("never/run"), 16);
+}
+
 TEST_F(SchedulerTest, MaxStreamsCapsDecision) {
   SchedulerOptions opt;
   opt.max_streams = 2;
@@ -355,28 +417,6 @@ TEST_F(SchedulerTest, BoundScopeRunsLaneZeroOnItsHomeStream) {
   s.clear_dag_op();
 }
 
-TEST_F(SchedulerTest, LaneZeroStaysOffAHomeOfAnotherPriority) {
-  // A prioritised tenant's slot home runs at priority 0; moving lane 0
-  // onto it would drop the lane's priority, so lane 0 keeps its slice
-  // stream, created at the binding's priority.
-  SchedulerOptions opt;
-  opt.fixed_streams = 4;
-  RuntimeScheduler& s = scheduler(opt);
-  const gpusim::StreamId home = ctx.device().create_stream();
-  kern::DagOpBinding batch;
-  batch.home_stream = home;
-  batch.priority = 3;
-  s.bind_dag_op(batch);
-  s.begin_scope("conv/fwd", 2);
-  const kern::Lane lane0 = s.task_lane(0);
-  s.end_scope();
-  s.clear_dag_op();
-  EXPECT_EQ(lane0.lane, 0);
-  EXPECT_NE(lane0.stream, home);
-  EXPECT_NE(lane0.stream, gpusim::kDefaultStream);
-  EXPECT_EQ(ctx.device().stream_priority(lane0.stream), 3);
-}
-
 TEST_F(SchedulerTest, BindingsMustNotNest) {
   // One ambient binding at a time, as with scopes: a second bind before
   // clear_dag_op is rejected, and binding works again once cleared.
@@ -413,29 +453,6 @@ TEST_F(SchedulerTest, BoundConcurrentScopesSolveJointly) {
   run_bound("c", {"b"});
   EXPECT_EQ(s.dag_joint_groups(), 1u);
   EXPECT_EQ(s.analyzer().joint_solves(), 1u);
-}
-
-TEST_F(SchedulerTest, BindingPriorityReachesSliceStreams) {
-  // A serving batch binds its tenant's priority: the slice streams its
-  // scopes create take it.
-  SchedulerOptions opt;
-  opt.fixed_streams = 4;
-  RuntimeScheduler& s = scheduler(opt);
-  kern::DagOpBinding batch;
-  batch.slot = 1;
-  batch.num_slots = 2;
-  batch.priority = 3;
-  s.bind_dag_op(batch);
-  s.begin_scope("conv/fwd", 4);
-  std::set<gpusim::StreamId> pool;
-  for (std::size_t i = 0; i < 4; ++i) pool.insert(s.task_lane(i).stream);
-  s.end_scope();
-  s.clear_dag_op();
-  ASSERT_EQ(pool.size(), 4u);
-  for (gpusim::StreamId id : pool) {
-    EXPECT_NE(id, gpusim::kDefaultStream);
-    EXPECT_EQ(ctx.device().stream_priority(id), 3) << "stream " << id;
-  }
 }
 
 TEST_F(SchedulerTest, PlanDagRejectsForwardAndUnknownDeps) {

@@ -193,45 +193,6 @@ TEST(InferenceServer, TimelineCarriesTenantTagsAndStaysRaceFree) {
             static_cast<std::size_t>(ts.requests));
 }
 
-TEST(InferenceServer, TenantPriorityReachesItsSliceStreams) {
-  // Each batch binds its tenant's priority with its slot: tenant 1's
-  // per-sample scopes run on slot 1's slice, created at priority 5, and
-  // tenant 0's never touch a priority-5 stream.
-  std::vector<serving::TenantModel> models;
-  for (int t = 0; t < 2; ++t) {
-    serving::TenantModel m;
-    m.name = "tiny_cnn";
-    m.spec = serving::tiny_cnn(1);
-    m.priority = t == 1 ? 5 : 0;
-    models.push_back(std::move(m));
-  }
-  serving::TraceSpec ts;
-  ts.requests = 30;
-  ts.rate_rps = 8000.0;
-  ts.tenants = 2;
-  ts.seed = glptest::test_seed(14);
-  ts.fill_inputs = false;
-  GLP_SCOPED_SEED(ts.seed);
-
-  scuda::Context ctx(gpusim::DeviceTable::p100());
-  serving::ServerOptions opts;
-  opts.mode = kern::ComputeMode::kTimingOnly;
-  opts.slots = 2;
-  opts.record_timeline = true;
-  serving::InferenceServer server(ctx, models, opts);
-  server.replay(serving::make_trace(ts, sizes_of(models)));
-  ctx.device().synchronize();
-
-  std::map<int, std::size_t> priority5_kernels;
-  for (const auto& k : ctx.device().timeline().kernels()) {
-    if (ctx.device().stream_priority(k.stream) == 5) {
-      priority5_kernels[k.tenant] += 1;
-    }
-  }
-  EXPECT_GT(priority5_kernels[1], 0u);
-  EXPECT_EQ(priority5_kernels[0], 0u);
-}
-
 TEST(InferenceServer, OneRequestBatchesRecordOnlyTheirCompletionEvent) {
   // Under light load each batch holds one request, so each steady scope
   // runs one lane, on the slot's home stream, with no fork or join: the

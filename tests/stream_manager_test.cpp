@@ -92,21 +92,6 @@ TEST(StreamManager, SlicesWithUniformWidthNeverOverlap) {
   EXPECT_EQ(manager.pool_size(ctx), 6);  // 4 (slot 0) + 2 used of slot 1
 }
 
-TEST(StreamManager, FillerStreamsBelowASliceKeepDefaultPriority) {
-  // A higher slot acquiring first must not imprint its tenant's priority
-  // on streams that belong to lower slots' future slices.
-  scuda::Context ctx(gpusim::DeviceTable::p100());
-  glp4nn::StreamManager manager;
-  const auto hi = manager.acquire_slice(ctx, 1, 4, 4, /*priority=*/-5);
-  for (gpusim::StreamId s : hi) {
-    EXPECT_EQ(ctx.device().stream_priority(s), -5);
-  }
-  const auto lo = manager.acquire_slice(ctx, 0, 4, 4, /*priority=*/3);
-  for (gpusim::StreamId s : lo) {
-    EXPECT_EQ(ctx.device().stream_priority(s), 0);  // created as filler
-  }
-}
-
 TEST(StreamManager, ReusedAcrossSchedulerScopes) {
   // Two dispatch scopes with the same stream demand must not allocate
   // new streams for the second scope — this is the "lightweight" claim.

@@ -37,30 +37,26 @@ inline std::uint64_t test_seed(std::uint64_t default_seed) {
   return default_seed;
 }
 
-/// Owns a simulated device plus a dispatcher and exposes an ExecContext.
+/// Owns a simulated device plus the serial dispatcher and exposes an
+/// ExecContext.
 struct Env {
   explicit Env(gpusim::DeviceProps props = gpusim::DeviceTable::p100(),
-               int fixed_streams = 0,
                kern::ComputeMode mode = kern::ComputeMode::kNumeric)
-      : ctx(std::move(props)) {
-    if (fixed_streams <= 1) {
-      dispatcher = std::make_unique<kern::SerialDispatcher>(ctx);
-    } else {
-      dispatcher = std::make_unique<kern::FixedStreamDispatcher>(ctx, fixed_streams);
-    }
+      : ctx(std::move(props)), dispatcher(ctx) {
     ec.ctx = &ctx;
-    ec.dispatcher = dispatcher.get();
+    ec.dispatcher = &dispatcher;
     ec.mode = mode;
   }
 
   scuda::Context ctx;
-  std::unique_ptr<kern::KernelDispatcher> dispatcher;
+  kern::SerialDispatcher dispatcher;
   mc::ExecContext ec;
 
   void sync() { ctx.device().synchronize(); }
 };
 
-/// Env driven by a GLP4NN engine instead of a fixed dispatcher.
+/// Env driven by a GLP4NN engine instead of the serial dispatcher (a
+/// fixed pool sets SchedulerOptions::fixed_streams).
 struct GlpEnv {
   explicit GlpEnv(gpusim::DeviceProps props = gpusim::DeviceTable::p100(),
                   glp4nn::SchedulerOptions options = {},

@@ -10,6 +10,9 @@
 //                       caffenet | googlenet
 //   --device <name>     K40C | P100 | TitanXP | Fermi | Maxwell | Volta
 //   --mode <m>          glp4nn (default) | serial | fixed:<N> | strict
+//                       (fixed:N pins the scheduler's pool at N >= 1
+//                       streams, clamped to the device's concurrency
+//                       degree, instead of asking the analytical model)
 //   --iters <n>         training iterations (default 10)
 //   --lr <f>            base learning rate (default 0.01)
 //   --momentum <f>      SGD momentum (default 0.9)
@@ -47,6 +50,7 @@
 
 #include "comm/data_parallel.hpp"
 #include "common/cli.hpp"
+#include "common/strings.hpp"
 #include "core/glp4nn.hpp"
 #include "gpusim/profile_report.hpp"
 #include "gpusim/trace_export.hpp"
@@ -72,6 +76,46 @@ mc::NetSpec builtin_model(const std::string& name) {
   throw glp::InvalidArgument("unknown built-in model '" + name + "'");
 }
 
+/// The dispatcher `--mode` selects for one device: the serial baseline,
+/// or a RuntimeScheduler that either asks the analyzer (glp4nn, strict)
+/// or pins its pool at a fixed size (fixed:N).
+struct ModeDispatch {
+  std::unique_ptr<kern::SerialDispatcher> serial;
+  std::unique_ptr<glp4nn::Glp4nnEngine> engine;
+  kern::KernelDispatcher* dispatcher = nullptr;
+};
+
+ModeDispatch make_dispatch(const glp::Flags& flags, const std::string& mode,
+                           scuda::Context& ctx) {
+  ModeDispatch d;
+  if (mode == "serial") {
+    d.serial = std::make_unique<kern::SerialDispatcher>(ctx);
+    d.dispatcher = d.serial.get();
+    return d;
+  }
+  glp4nn::SchedulerOptions opts;
+  if (glp::starts_with(mode, "fixed:")) {
+    const std::string n = mode.substr(6);
+    std::size_t end = 0;
+    try {
+      opts.fixed_streams = std::stoi(n, &end);
+    } catch (const std::exception&) {
+      // Not a number: fixed_streams stays 0 and is rejected below.
+    }
+    // fixed_streams = 0 would silently mean "ask the analyzer".
+    if (end != n.size() || opts.fixed_streams < 1) {
+      fail(flags, "--mode fixed:N needs an integer N >= 1, got '" + n + "'");
+    }
+  } else if (mode == "strict") {
+    opts.strict_repro = true;
+  } else if (mode != "glp4nn") {
+    fail(flags, "unknown mode '" + mode + "'");
+  }
+  d.engine = std::make_unique<glp4nn::Glp4nnEngine>(opts);
+  d.dispatcher = &d.engine->scheduler_for(ctx);
+  return d;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,7 +138,9 @@ int main(int argc, char** argv) {
       .opt("model", &model,
            "built-in model: lenet|cifar10|siamese|caffenet|googlenet")
       .opt("device", &device, "K40C|P100|TitanXP|Fermi|Maxwell|Volta")
-      .opt("mode", &mode, "glp4nn|serial|fixed:N|strict")
+      .opt("mode", &mode,
+           "glp4nn|serial|fixed:N|strict (fixed:N, N >= 1, is clamped to "
+           "the device's concurrency degree)")
       .opt("iters", &iters, "training iterations")
       .opt("lr", &lr, "base learning rate")
       .opt("momentum", &momentum, "SGD momentum")
@@ -184,8 +230,7 @@ int main(int argc, char** argv) {
       }
       scuda::Fleet fleet(fleet_props, fopts);
 
-      std::vector<std::unique_ptr<kern::KernelDispatcher>> dispatchers;
-      std::vector<std::unique_ptr<glp4nn::Glp4nnEngine>> engines;
+      std::vector<ModeDispatch> dispatchers;
       std::vector<std::unique_ptr<mc::ExecContext>> ecs;
       std::vector<mc::ExecContext*> ec_ptrs;
       for (int d = 0; d < fleet_devices; ++d) {
@@ -194,21 +239,8 @@ int main(int argc, char** argv) {
         ec->ctx = &ctx;
         ec->mode = timing_only ? kern::ComputeMode::kTimingOnly
                                : kern::ComputeMode::kNumeric;
-        if (mode == "serial") {
-          dispatchers.push_back(std::make_unique<kern::SerialDispatcher>(ctx));
-          ec->dispatcher = dispatchers.back().get();
-        } else if (mode.rfind("fixed:", 0) == 0) {
-          dispatchers.push_back(std::make_unique<kern::FixedStreamDispatcher>(
-              ctx, std::stoi(mode.substr(6))));
-          ec->dispatcher = dispatchers.back().get();
-        } else if (mode == "glp4nn" || mode == "strict") {
-          glp4nn::SchedulerOptions opts;
-          opts.strict_repro = mode == "strict";
-          engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>(opts));
-          ec->dispatcher = &engines.back()->scheduler_for(ctx);
-        } else {
-          fail(flags, "unknown mode '" + mode + "'");
-        }
+        dispatchers.push_back(make_dispatch(flags, mode, ctx));
+        ec->dispatcher = dispatchers.back().dispatcher;
         ec_ptrs.push_back(ec.get());
         ecs.push_back(std::move(ec));
       }
@@ -271,27 +303,13 @@ int main(int argc, char** argv) {
     }
 
     scuda::Context gpu(*props);
-    std::unique_ptr<kern::KernelDispatcher> fixed;
-    std::unique_ptr<glp4nn::Glp4nnEngine> engine;
+    const ModeDispatch dispatch = make_dispatch(flags, mode, gpu);
+    glp4nn::Glp4nnEngine* engine = dispatch.engine.get();
     mc::ExecContext ec;
     ec.ctx = &gpu;
     ec.mode = timing_only ? kern::ComputeMode::kTimingOnly
                           : kern::ComputeMode::kNumeric;
-    if (mode == "serial") {
-      fixed = std::make_unique<kern::SerialDispatcher>(gpu);
-      ec.dispatcher = fixed.get();
-    } else if (mode.rfind("fixed:", 0) == 0) {
-      fixed = std::make_unique<kern::FixedStreamDispatcher>(
-          gpu, std::stoi(mode.substr(6)));
-      ec.dispatcher = fixed.get();
-    } else if (mode == "glp4nn" || mode == "strict") {
-      glp4nn::SchedulerOptions opts;
-      opts.strict_repro = mode == "strict";
-      engine = std::make_unique<glp4nn::Glp4nnEngine>(opts);
-      ec.dispatcher = &engine->scheduler_for(gpu);
-    } else {
-      fail(flags, "unknown mode '" + mode + "'");
-    }
+    ec.dispatcher = dispatch.dispatcher;
 
     mc::Net net(spec, ec);
     std::printf("net '%s': %zu layers on %s, mode %s%s\n", spec.name.c_str(),
@@ -323,7 +341,7 @@ int main(int argc, char** argv) {
     std::printf("trained %d iterations in %.2f simulated ms (%.2f ms/iter)\n",
                 iters, ms, ms / std::max(iters, 1));
 
-    if (engine != nullptr) {
+    if (engine != nullptr && engine->options().fixed_streams == 0) {
       const auto costs = engine->costs();
       std::printf("GLP4NN overhead: T_p %.3f ms, T_a %.3f ms; streams:\n",
                   costs.profiling_ms, costs.analysis_ms);
