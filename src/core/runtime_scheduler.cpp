@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
+#include "kernels/launcher.hpp"
 
 namespace glp4nn {
 
@@ -93,20 +94,20 @@ void RuntimeScheduler::begin_scope(const std::string& scope,
     // tenants' batches overlapping with it.
     pool_.assign(1, binding_.home_stream);
     mode_ = Mode::kSteady;
-    return;
-  }
-
-  if (options_.fixed_streams > 0) {
+  } else if (options_.fixed_streams > 0) {
     begin_steady(clamp_streams(options_.fixed_streams));
-    return;
-  }
-
-  const ConcurrencyDecision* decision = analyzer_->decision(scope);
-  if (decision != nullptr) {
+  } else if (const ConcurrencyDecision* decision = analyzer_->decision(scope)) {
     begin_steady(clamp_streams(decision->stream_count));
   } else {
     tracker_->begin_profiling(*ctx_);
     mode_ = Mode::kProfiling;
+  }
+
+  // Steady scopes stage their launches for lane coalescing; profiling
+  // scopes stay launch-for-launch visible to the tracker.
+  if (mode_ == Mode::kSteady && binding_.stager != nullptr) {
+    GLP_CHECK(!binding_.stager->armed && binding_.stager->live == 0);
+    binding_.stager->armed = true;
   }
 }
 
@@ -209,20 +210,27 @@ void RuntimeScheduler::end_scope() {
     }
     // An empty scope (zero tasks) yields no decision; it will profile
     // again next time it runs non-empty.
-  } else if (binding_.home_stream != gpusim::kDefaultStream) {
-    // Local join: the op's / batch's home stream waits for each pool
-    // stream, keeping the barrier local to this op or batch — a
-    // device-wide default-stream barrier would serialise concurrent
-    // branches and tenants.
-    const gpusim::StreamId home = binding_.home_stream;
-    for (gpusim::StreamId s : pool_) {
-      if (s == home) continue;
-      const gpusim::EventId ev = ctx_->device().record_event(s);
-      ctx_->device().wait_event(home, ev);
-    }
   } else {
-    // Asynchronous barrier: later work on any stream observes the scope.
-    ctx_->device().record_event(gpusim::kDefaultStream);
+    if (kern::Stager* stager = binding_.stager) {
+      // Flush before the join so it covers the merged launches.
+      stager->armed = false;
+      stager->flush(*ctx_, current_scope_ + "/coalesced");
+    }
+    if (binding_.home_stream != gpusim::kDefaultStream) {
+      // Local join: the op's / batch's home stream waits for each pool
+      // stream, keeping the barrier local to this op or batch — a
+      // device-wide default-stream barrier would serialise concurrent
+      // branches and tenants.
+      const gpusim::StreamId home = binding_.home_stream;
+      for (gpusim::StreamId s : pool_) {
+        if (s == home) continue;
+        const gpusim::EventId ev = ctx_->device().record_event(s);
+        ctx_->device().wait_event(home, ev);
+      }
+    } else {
+      // Asynchronous barrier: later work on any stream observes the scope.
+      ctx_->device().record_event(gpusim::kDefaultStream);
+    }
   }
   mode_ = Mode::kIdle;
   current_scope_.clear();

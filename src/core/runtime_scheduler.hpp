@@ -26,7 +26,11 @@
 // serving batch being issued binds its home stream and its slot of
 // num_slots, and every pool is that slot's slice of the shared stream
 // pool (unbound: the default stream and slot 0 of 1, i.e. the pool's
-// first streams).
+// first streams). A binding may also carry a kern::Stager: every steady
+// scope under it (analyzer pool, fixed pool or fault-serialised) stages
+// its launches there, and end_scope flushes them before the join as one
+// launch per lane stream (`<scope>/coalescedN` when it merges N).
+// Profiling scopes never stage, so the tracker sees every kernel.
 //
 // Options cover the ablations DESIGN.md lists: dispatch policy, a stream
 // cap, strict-repro pool rounding (bit-identical training), and a fixed
@@ -80,11 +84,6 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   kern::Lane task_lane(std::size_t index) override;
   int max_lanes() const override;
   void end_scope() override;
-  /// Steady scopes may be lane-coalesced (kern::CoalescingDispatcher):
-  /// the pool decision is already cached and the tracker is not watching.
-  /// Profiling scopes must stay launch-for-launch visible so the
-  /// analytical model sees real per-kernel records.
-  bool scope_coalescable() const override { return mode_ == Mode::kSteady; }
 
   // --- inter-operator DAG scheduling ---------------------------------------
   /// Plan a whole op DAG onto concurrent stream chains: ops inherit their
@@ -97,9 +96,9 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   /// Route the next issued op's or serving batch's scopes: fork/join
   /// against the binding's home stream (instead of the device-wide default
   /// barrier) and expand pools only within its slot slice. Only the slice
-  /// streams that receive a task are forked and joined. Bindings must not
-  /// nest: a second bind before clear_dag_op() throws, as a nested
-  /// begin_scope does.
+  /// streams that receive a task are forked and joined. Steady scopes arm
+  /// the binding's stager, if any. Bindings must not nest: a second bind
+  /// before clear_dag_op() throws, as a nested begin_scope does.
   void bind_dag_op(const kern::DagOpBinding& binding) override;
   void clear_dag_op() override;
   /// Concurrent scope groups that completed a joint analyzer solve.

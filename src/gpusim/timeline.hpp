@@ -2,15 +2,7 @@
 // Execution timeline recorder. Feeds the Fig. 3 timeline bench and the
 // simcupti activity API. Disabled by default to keep steady-state
 // training allocation-free on the hot path.
-//
-// Long serving runs with tracing enabled would otherwise grow without
-// bound; set_max_records(n) turns each record class into a ring that
-// keeps the most recent n records and counts what it overwrote
-// (dropped_records). trace_export surfaces the drop count so a truncated
-// trace is never mistaken for a complete one.
 
-#include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "gpusim/types.hpp"
@@ -22,39 +14,16 @@ class Timeline {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  /// Cap each record class (kernels, copies) at `cap` records, keeping
-  /// the most recent and counting evictions. 0 (default) = unbounded.
-  /// Shrinking below the current population evicts the oldest records.
-  void set_max_records(std::size_t cap) {
-    max_records_ = cap;
-    trim(kernels_, kernels_head_, dropped_kernels_);
-    trim(copies_, copies_head_, dropped_copies_);
-  }
-  std::size_t max_records() const { return max_records_; }
-
   void add_kernel(const KernelRecord& rec) {
-    if (enabled_) add(kernels_, kernels_head_, dropped_kernels_, rec);
+    if (enabled_) kernels_.push_back(rec);
   }
   void add_copy(const CopyRecord& rec) {
-    if (enabled_) add(copies_, copies_head_, dropped_copies_, rec);
+    if (enabled_) copies_.push_back(rec);
   }
 
-  /// Records in chronological order (oldest retained first).
-  const std::vector<KernelRecord>& kernels() const {
-    normalize(kernels_, kernels_head_);
-    return kernels_;
-  }
-  const std::vector<CopyRecord>& copies() const {
-    normalize(copies_, copies_head_);
-    return copies_;
-  }
-
-  /// Records evicted by the ring since construction (or the last clear).
-  std::uint64_t dropped_kernels() const { return dropped_kernels_; }
-  std::uint64_t dropped_copies() const { return dropped_copies_; }
-  std::uint64_t dropped_records() const {
-    return dropped_kernels_ + dropped_copies_;
-  }
+  /// Records in the order they were added.
+  const std::vector<KernelRecord>& kernels() const { return kernels_; }
+  const std::vector<CopyRecord>& copies() const { return copies_; }
 
   std::size_t size() const { return kernels_.size() + copies_.size(); }
   bool empty() const { return kernels_.empty() && copies_.empty(); }
@@ -62,56 +31,12 @@ class Timeline {
   void clear() {
     kernels_.clear();
     copies_.clear();
-    kernels_head_ = 0;
-    copies_head_ = 0;
-    dropped_kernels_ = 0;
-    dropped_copies_ = 0;
   }
 
  private:
-  template <typename Rec>
-  void add(std::vector<Rec>& recs, std::size_t& head, std::uint64_t& dropped,
-           const Rec& rec) {
-    if (max_records_ == 0 || recs.size() < max_records_) {
-      recs.push_back(rec);
-      return;
-    }
-    // Ring is full: overwrite the oldest slot. `head` is the oldest
-    // record's index (0 while still growing).
-    recs[head] = rec;
-    head = (head + 1) % recs.size();
-    ++dropped;
-  }
-
-  /// Rotate a wrapped ring back to index order so accessors can hand out
-  /// the vector directly. Lazy: only runs when someone reads after wrap.
-  template <typename Rec>
-  static void normalize(std::vector<Rec>& recs, std::size_t& head) {
-    if (head == 0) return;
-    std::rotate(recs.begin(),
-                recs.begin() + static_cast<std::ptrdiff_t>(head), recs.end());
-    head = 0;
-  }
-
-  template <typename Rec>
-  void trim(std::vector<Rec>& recs, std::size_t& head, std::uint64_t& dropped) {
-    normalize(recs, head);
-    if (max_records_ != 0 && recs.size() > max_records_) {
-      const std::size_t excess = recs.size() - max_records_;
-      recs.erase(recs.begin(), recs.begin() + static_cast<std::ptrdiff_t>(excess));
-      dropped += excess;
-    }
-  }
-
   bool enabled_ = false;
-  std::size_t max_records_ = 0;  ///< 0 = unbounded
-  // Mutable so the chronological accessors can lazily un-rotate the ring.
-  mutable std::vector<KernelRecord> kernels_;
-  mutable std::vector<CopyRecord> copies_;
-  mutable std::size_t kernels_head_ = 0;
-  mutable std::size_t copies_head_ = 0;
-  std::uint64_t dropped_kernels_ = 0;
-  std::uint64_t dropped_copies_ = 0;
+  std::vector<KernelRecord> kernels_;
+  std::vector<CopyRecord> copies_;
 };
 
 }  // namespace gpusim

@@ -51,18 +51,6 @@ void emit_timeline(std::ostringstream& os, bool& first,
     os << "}";
   };
 
-  // A bounded timeline that wrapped is a *window*, not the full run; mark
-  // the export so truncated traces are never mistaken for complete ones.
-  if (timeline.dropped_records() > 0) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n  {\"name\":\"trace_truncated\",\"cat\":\"metadata\",\"ph\":\"i\","
-       << "\"s\":\"g\",\"pid\":" << pid << ",\"tid\":0,\"ts\":0,\"args\":{"
-       << "\"dropped_kernels\":" << timeline.dropped_kernels()
-       << ",\"dropped_copies\":" << timeline.dropped_copies()
-       << ",\"max_records\":" << timeline.max_records() << "}}";
-  }
-
   for (const KernelRecord& k : timeline.kernels()) {
     std::ostringstream args;
     args << "\"grid\":\"" << k.config.grid.x << "x" << k.config.grid.y << "x"

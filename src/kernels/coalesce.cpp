@@ -1,4 +1,4 @@
-#include "kernels/coalesce.hpp"
+#include "kernels/launcher.hpp"
 
 #include <algorithm>
 
@@ -72,24 +72,6 @@ void Stager::flush(scuda::Context& ctx, const std::string& stem) {
     dev.launch_kernel(target, stem + std::to_string(g.staged.size()), cfg,
                       cost, std::move(work));
   }
-}
-
-void CoalescingDispatcher::begin_scope(const std::string& scope,
-                                       std::size_t num_tasks) {
-  inner_->begin_scope(scope, num_tasks);
-  GLP_CHECK(!stager_.armed && stager_.live == 0);
-  scope_ = scope;
-  // Ask *after* the inner begin_scope: the scheduler only knows whether
-  // this run profiles or runs steady once the scope is open.
-  stager_.armed = inner_->scope_coalescable();
-}
-
-void CoalescingDispatcher::end_scope() {
-  stager_.armed = false;
-  // Flush before the inner end_scope so the scope's join barrier (events
-  // recorded on every pool stream) covers the merged launches.
-  stager_.flush(*ctx_, scope_ + "/coalesced");
-  inner_->end_scope();
 }
 
 }  // namespace kern

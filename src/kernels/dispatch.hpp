@@ -22,6 +22,8 @@
 
 namespace kern {
 
+struct Stager;
+
 /// Execution mode for kernel host functors.
 enum class ComputeMode {
   kNumeric,     ///< run the real math (convergence experiments, tests)
@@ -74,6 +76,12 @@ struct DagOpBinding {
   /// Scope names of ops that may run concurrently with this one (used by
   /// DAG-aware schedulers to size heterogeneous concurrent pools jointly).
   std::vector<std::string> concurrent_scopes;
+  /// Lane coalescing: a scheduler that runs one of the binding's scopes
+  /// steady arms this stager for the scope and flushes it at end_scope,
+  /// before the join, as one launch per lane stream (`<scope>/coalescedN`
+  /// when it merges N). The scope's launchers must hold the same stager
+  /// (ExecContext::stager).
+  Stager* stager = nullptr;
 };
 
 class KernelDispatcher {
@@ -95,12 +103,9 @@ class KernelDispatcher {
   /// all of the scope's kernels. Asynchronous — no host round trip.
   virtual void end_scope() = 0;
 
-  /// True while the *current* scope may have its per-lane kernel chains
-  /// coalesced into one merged launch per stream (see
-  /// kern::CoalescingDispatcher). Default false; the GLP4NN scheduler
-  /// returns true only for steady (already-profiled or fixed-pool) scopes
-  /// — profiling scopes need their individual kernels visible to the
-  /// tracker, and the serial baseline stays launch-for-launch honest.
+  /// No in-tree caller: lane coalescing is armed through
+  /// DagOpBinding::stager. Kept only because glp4nn_bench's
+  /// CountingDispatcher overrides it.
   virtual bool scope_coalescable() const { return false; }
 
   // --- inter-operator DAG scheduling (optional capability) -----------------
@@ -126,15 +131,12 @@ class KernelDispatcher {
 /// Naive-Caffe baseline: a single in-order queue (the default stream).
 class SerialDispatcher final : public KernelDispatcher {
  public:
-  explicit SerialDispatcher(scuda::Context& ctx) : ctx_(&ctx) {}
+  explicit SerialDispatcher(scuda::Context& /*ctx*/) {}
 
   void begin_scope(const std::string&, std::size_t) override {}
   Lane task_lane(std::size_t) override { return Lane{gpusim::kDefaultStream, 0}; }
   int max_lanes() const override { return 1; }
   void end_scope() override {}
-
- private:
-  scuda::Context* ctx_;
 };
 
 }  // namespace kern

@@ -25,11 +25,11 @@ namespace kern {
 /// host overhead each one charges) changes. Two owners arm it:
 ///  * the DAG scheduler's elementwise-chain fusion pass (a chain issues
 ///    on its head op's stream, so it forms one group);
-///  * kern::CoalescingDispatcher inside a steady parallel scope (one
-///    group per lane stream).
-/// A long-lived stager (the coalescing dispatcher's, one per serving
-/// replica) keeps its groups and their buffers across flushes, so a
-/// steady scope stages without allocating once the first few scopes
+///  * glp4nn::RuntimeScheduler inside each steady scope of a binding that
+///    carries it (DagOpBinding::stager; one group per lane stream).
+/// A long-lived stager (an InferenceServer's, one per server, shared by
+/// every replica) keeps its groups and their buffers across flushes, so
+/// a steady scope stages without allocating once the first few scopes
 /// have sized them.
 struct Stager {
   struct Staged {

@@ -39,9 +39,9 @@ struct ExecContext {
   /// concurrent stream chains instead of issuing layers serially.
   bool dag_schedule = false;
   /// Launch staging (see kern::Stager), armed by the NetDag fusion pass
-  /// around a coalesced elementwise chain, or by a
-  /// kern::CoalescingDispatcher inside coalescable scopes. Layers stay
-  /// oblivious.
+  /// around a coalesced elementwise chain, or by the scheduler inside the
+  /// steady scopes of a binding that carries the same stager (serving
+  /// replicas hold their server's). Layers stay oblivious.
   kern::Stager* stager = nullptr;
   /// Producer layers whose GEMM absorbs the following in-place ReLU
   /// (layer name → the ReLU's negative_slope). Owned by the NetDag.

@@ -53,9 +53,7 @@ std::vector<RequestRecord> FleetServer::replay(
   const int n = devices();
   // Warm every device server up front: routing reads the seeded service
   // estimates, and the replays below will not warm up a second time.
-  if (opts_.server.warmup) {
-    for (auto& s : servers_) s->prewarm();
-  }
+  for (auto& s : servers_) s->prewarm();
 
   std::stable_sort(trace.begin(), trace.end(),
                    [](const InferenceRequest& a, const InferenceRequest& b) {

@@ -12,6 +12,11 @@ namespace serving {
 
 namespace {
 constexpr gpusim::SimTime kInf = std::numeric_limits<gpusim::SimTime>::infinity();
+/// Shard-queue fill fraction above which over-budget tenants (dry token
+/// bucket) are shed outright, deadline or not.
+constexpr double kShedPressure = 0.75;
+/// EWMA weight of each reaped batch in a tenant's service estimate.
+constexpr double kEstEwma = 0.25;
 }  // namespace
 
 double percentile_nearest_rank(const std::vector<double>& sorted, double q) {
@@ -37,8 +42,6 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
   GLP_REQUIRE(opts_.slots >= 1, "server needs at least one batch slot");
   GLP_REQUIRE(opts_.batch.max_batch >= 1, "max_batch must be positive");
   GLP_REQUIRE(opts_.admission.headroom > 0.0, "admission headroom must be > 0");
-  GLP_REQUIRE(opts_.admission.est_ewma > 0.0 && opts_.admission.est_ewma <= 1.0,
-              "admission est_ewma must be in (0,1]");
   // Slot assignment is stable (tenant % slots) to preserve per-tenant
   // FIFO, so slots beyond the tenant count can never be occupied — clamp
   // them away or they would needlessly shrink every tenant's pool slice.
@@ -69,11 +72,12 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
   }
   slot_busy_.assign(static_cast<std::size_t>(opts_.slots), false);
 
+  if (opts_.coalesce_lanes) stager_ = std::make_unique<kern::Stager>();
   for (std::size_t t = 0; t < models_.size(); ++t) {
     SessionOptions so;
     so.mode = opts_.mode;
     so.weights_path = models_[t].weights;
-    so.coalesce_lanes = opts_.coalesce_lanes;
+    so.stager = stager_.get();
     if (models_.size() > 1) {
       so.name_prefix = std::string("t").append(std::to_string(t)).append(":");
     }
@@ -120,11 +124,6 @@ std::size_t InferenceServer::serial_fallback_count() const {
 
 void InferenceServer::prewarm() {
   if (warmed_) return;
-  warmup();
-  warmed_ = true;
-}
-
-void InferenceServer::warmup() {
   std::vector<int> sizes{1};
   const int top = replica_batch_for(opts_.batch.max_batch);
   for (int b = 2; b <= top; b <<= 1) sizes.push_back(b);
@@ -135,7 +134,7 @@ void InferenceServer::warmup() {
     const auto run_once = [&](int b) {
       InferenceSession::Replica& r = sessions_[static_cast<std::size_t>(t)]
                                          ->checkout(b);
-      dispatcher_->bind_dag_op({home, slot, opts_.slots, {}});
+      dispatcher_->bind_dag_op({home, slot, opts_.slots, {}, stager_.get()});
       dev.set_current_tenant(t);
       sessions_[static_cast<std::size_t>(t)]->run_batch(r, {}, home);
       dev.set_current_tenant(-1);
@@ -154,6 +153,7 @@ void InferenceServer::warmup() {
     shards_[static_cast<std::size_t>(t)].est_ns =
         elapsed / static_cast<double>(top);
   }
+  warmed_ = true;
 }
 
 std::optional<Outcome> InferenceServer::admit(Shard& shard, InferenceRequest& r,
@@ -164,7 +164,7 @@ std::optional<Outcome> InferenceServer::admit(Shard& shard, InferenceRequest& r,
   if (!in_budget) {
     const double fill = static_cast<double>(shard.queue->size()) /
                         static_cast<double>(shard.queue->capacity());
-    if (fill >= opts_.admission.shed_pressure) return Outcome::kShed;
+    if (fill >= kShedPressure) return Outcome::kShed;
   }
   // 2. SLO feasibility: predicted completion = backlog drained at the
   // tenant's per-request service estimate, padded by the headroom factor.
@@ -210,7 +210,7 @@ void InferenceServer::issue(int tenant, gpusim::SimTime now) {
 
   gpusim::DeviceEngine& dev = ctx_->device();
   const gpusim::StreamId home = homes_[static_cast<std::size_t>(slot)].id();
-  dispatcher_->bind_dag_op({home, slot, opts_.slots, {}});
+  dispatcher_->bind_dag_op({home, slot, opts_.slots, {}, stager_.get()});
   dev.set_current_tenant(tenant);
   sess.run_batch(r, samples, home);
   const gpusim::EventId done = dev.record_event(home);
@@ -267,8 +267,7 @@ bool InferenceServer::reap(std::vector<RequestRecord>& records) {
         (completion - it->issue_ns) / static_cast<double>(n);
     shard.est_ns = shard.est_ns <= 0.0
                        ? per_req
-                       : shard.est_ns +
-                             opts_.admission.est_ewma * (per_req - shard.est_ns);
+                       : shard.est_ns + kEstEwma * (per_req - shard.est_ns);
     sess.release(*it->replica);
     slot_busy_[static_cast<std::size_t>(it->slot)] = false;
     it = inflight_.erase(it);
@@ -303,7 +302,7 @@ std::vector<RequestRecord> InferenceServer::replay(
                    [](const InferenceRequest& a, const InferenceRequest& b) {
                      return a.arrival_ns < b.arrival_ns;
                    });
-  if (opts_.warmup) prewarm();
+  prewarm();
 
   gpusim::DeviceEngine& dev = ctx_->device();
   t0_ = dev.host_now();

@@ -13,8 +13,8 @@
 //
 // Admission pipeline (per request, at enqueue time):
 //   1. token bucket — a tenant whose bucket is dry is over its contracted
-//      rate; under queue pressure (fill >= shed_pressure) its requests
-//      are shed first (Outcome::kShed);
+//      rate; under queue pressure (its shard queue at least 3/4 full) its
+//      requests are shed first (Outcome::kShed);
 //   2. SLO feasibility — with admission.slo_aware, a deadline-carrying
 //      request whose predicted completion (backlog x the tenant's EWMA
 //      service estimate, padded by `headroom`) exceeds its deadline is
@@ -84,10 +84,6 @@ struct AdmissionOptions {
   bool slo_aware = false;  ///< shed/downgrade provably-late requests
   bool downgrade = false;  ///< downgrade (serve best-effort) instead of shed
   double headroom = 1.2;   ///< safety factor on the service estimate
-  /// Shard-queue fill fraction above which over-budget tenants (dry
-  /// token bucket) are shed outright, deadline or not.
-  double shed_pressure = 0.75;
-  double est_ewma = 0.25;  ///< EWMA weight for the service estimate update
 };
 
 struct ServerOptions {
@@ -101,17 +97,14 @@ struct ServerOptions {
   glp4nn::SchedulerOptions scheduler;  ///< GLP4NN options, passed through as given
   kern::ComputeMode mode = kern::ComputeMode::kNumeric;
   /// Merge each lane's per-sample kernel chain into one launch per
-  /// stream in steady scopes (kern::CoalescingDispatcher) — the serving
-  /// hot path's answer to per-launch host overhead. Inert under the
-  /// serial baseline (its scopes are never coalescable), so
-  /// scheduler-vs-serial comparisons stay honest.
+  /// stream in steady scopes — the serving hot path's answer to
+  /// per-launch host overhead. The server's one kern::Stager goes to
+  /// every session and batch binding, and the GLP4NN scheduler arms it
+  /// in steady scopes. Inert under the serial baseline (it ignores
+  /// bindings), so scheduler-vs-serial comparisons stay honest.
   bool coalesce_lanes = true;
   bool record_timeline = false;  ///< keep kernel/copy records (race checks)
   bool keep_outputs = false;     ///< copy each request's output into its record
-  /// Run one forward per (tenant, replica batch size) before the trace so
-  /// every scope is profiled up front; warmup time is excluded from
-  /// request metrics.
-  bool warmup = true;
 };
 
 /// Outcome/latency breakdown for one tenant's slice of a replay.
@@ -179,10 +172,12 @@ class InferenceServer {
   /// serial baseline, which creates no streams.
   std::size_t serial_fallback_count() const;
 
-  /// Run the warmup pass now instead of at replay() time. Idempotent —
-  /// a later replay() will not warm up again — so a fleet front end can
-  /// warm every shard server up front, read the seeded service
-  /// estimates to route a trace, and then replay the routed slices.
+  /// Run one forward per (tenant, replica batch size) so every scope is
+  /// profiled before traffic, and seed each tenant's service estimate;
+  /// warmup time is excluded from request metrics. replay() calls it.
+  /// Idempotent, so a fleet front end can warm every shard server up
+  /// front, read the seeded estimates to route a trace, and then replay
+  /// the routed slices.
   void prewarm();
 
   static ServingStats summarize(const std::vector<RequestRecord>& records);
@@ -206,7 +201,6 @@ class InferenceServer {
     gpusim::SimTime issue_ns = 0.0;
   };
 
-  void warmup();
   void build_shards();
   /// Admission pipeline; returns the terminal outcome for dropped
   /// requests, or nullopt when the request was enqueued.
@@ -224,6 +218,9 @@ class InferenceServer {
   std::unique_ptr<glp4nn::Glp4nnEngine> engine_;       // scheduler mode
   std::unique_ptr<kern::SerialDispatcher> serial_;     // baseline mode
   kern::KernelDispatcher* dispatcher_ = nullptr;
+  /// Lane-coalescing stager of every session and batch binding (null
+  /// unless ServerOptions::coalesce_lanes).
+  std::unique_ptr<kern::Stager> stager_;
   std::vector<std::unique_ptr<InferenceSession>> sessions_;
   std::vector<Shard> shards_;         ///< one per tenant
   std::vector<scuda::Stream> homes_;  ///< one home stream per slot
@@ -231,7 +228,7 @@ class InferenceServer {
   std::vector<bool> slot_busy_;
   std::vector<InFlight> inflight_;
   std::uint64_t next_batch_id_ = 0;  ///< one id sequence across all shards
-  bool warmed_ = false;      ///< prewarm/warmup already ran
+  bool warmed_ = false;      ///< prewarm already ran
   gpusim::SimTime t0_ = 0.0;  ///< replay epoch (absolute sim time)
 };
 

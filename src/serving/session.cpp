@@ -6,6 +6,11 @@
 
 namespace serving {
 
+namespace {
+/// Seed of every replica's RNG (the weight fillers draw from it).
+constexpr std::uint64_t kFillerSeed = 0x5eedULL;
+}  // namespace
+
 int replica_batch_for(int batch) {
   GLP_REQUIRE(batch >= 1, "batch must be positive");
   int b = 1;
@@ -40,12 +45,7 @@ InferenceSession::Replica& InferenceSession::build_replica(int batch) {
   r->ec = std::make_unique<mc::ExecContext>();
   r->ec->ctx = ctx_;
   r->ec->dispatcher = dispatcher_;
-  if (opts_.coalesce_lanes) {
-    r->coalescing =
-        std::make_unique<kern::CoalescingDispatcher>(*ctx_, *dispatcher_);
-    r->ec->dispatcher = r->coalescing.get();
-    r->ec->stager = &r->coalescing->stager();
-  }
+  r->ec->stager = opts_.stager;
   r->ec->mode = opts_.mode;
   r->ec->train = false;
   r->ec->inference = true;
@@ -53,7 +53,7 @@ InferenceSession::Replica& InferenceSession::build_replica(int batch) {
   // are launch-overhead-sensitive and the fused kernel runs the identical
   // host math (gemm then add_bias), so outputs stay bit-exact.
   r->ec->fuse_conv_bias = true;
-  r->ec->rng = glp::Rng(opts_.filler_seed);
+  r->ec->rng = glp::Rng(kFillerSeed);
 
   mc::NetSpec spec = spec_;
   spec.layers.front().params.batch_size = batch;

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "kernels/coalesce.hpp"
 #include "kernels/dispatch.hpp"
 #include "minicaffe/layers/input_layer.hpp"
 #include "minicaffe/net.hpp"
@@ -37,14 +36,11 @@ struct SessionOptions {
   /// Prepended to every layer name (e.g. "t0:"): multi-tenant servers use
   /// it so scheduler scope keys never collide across tenants.
   std::string name_prefix;
-  /// Wrap the dispatcher in a kern::CoalescingDispatcher per replica:
-  /// steady per-sample scopes merge each lane's kernel chain into one
-  /// launch per stream, cutting the serial host launch overhead by ~the
-  /// batch size while keeping outputs bit-identical. No effect on
-  /// profiling scopes or on dispatchers that never report a scope
-  /// coalescable (e.g. the serial baseline).
-  bool coalesce_lanes = false;
-  std::uint64_t filler_seed = 0x5eedULL;
+  /// Lane-coalescing stager every replica's launchers stage into
+  /// (ExecContext::stager). It stages only while a dispatcher arms it: the
+  /// GLP4NN scheduler does in the steady scopes of a batch whose binding
+  /// carries the same stager. Null: launches are never staged.
+  kern::Stager* stager = nullptr;
 };
 
 /// Round up to the replica pool's batch granularity (next power of two).
@@ -54,9 +50,6 @@ class InferenceSession {
  public:
   struct Replica {
     std::unique_ptr<mc::ExecContext> ec;
-    /// Lane-coalescing wrapper around the session dispatcher (only when
-    /// SessionOptions::coalesce_lanes is set).
-    std::unique_ptr<kern::CoalescingDispatcher> coalescing;
     std::unique_ptr<mc::Net> net;
     mc::InputLayer* input = nullptr;
     mc::Blob* output = nullptr;

@@ -413,61 +413,4 @@ TEST(EngineEquivalence, DestroyDrainedStreamThenMoreWork) {
   });
 }
 
-// --- timeline ring (bounded growth satellite) --------------------------------
-
-TEST(TimelineRing, DropsOldestAndStaysChronological) {
-  gpusim::Timeline tl;
-  tl.set_enabled(true);
-  tl.set_max_records(4);
-  for (int i = 0; i < 10; ++i) {
-    gpusim::KernelRecord r;
-    r.correlation_id = static_cast<std::uint64_t>(i);
-    r.end_ns = 100.0 * i;
-    tl.add_kernel(r);
-  }
-  ASSERT_EQ(tl.kernels().size(), 4u);
-  EXPECT_EQ(tl.dropped_kernels(), 6u);
-  EXPECT_EQ(tl.dropped_records(), 6u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(tl.kernels()[i].correlation_id, 6u + i) << i;
-  }
-}
-
-TEST(TimelineRing, UnboundedByDefaultAndClearResets) {
-  gpusim::Timeline tl;
-  tl.set_enabled(true);
-  for (int i = 0; i < 100; ++i) {
-    gpusim::CopyRecord r;
-    r.correlation_id = static_cast<std::uint64_t>(i);
-    tl.add_copy(r);
-  }
-  EXPECT_EQ(tl.copies().size(), 100u);
-  EXPECT_EQ(tl.dropped_records(), 0u);
-  tl.set_max_records(10);
-  EXPECT_EQ(tl.copies().size(), 10u);
-  EXPECT_EQ(tl.copies().front().correlation_id, 90u);
-  tl.clear();
-  EXPECT_EQ(tl.copies().size(), 0u);
-  EXPECT_EQ(tl.dropped_records(), 0u);
-}
-
-TEST(TimelineRing, EngineRunsWithBoundedTimeline) {
-  auto dev = gpusim::make_device_engine(gpusim::DeviceTable::k40c(),
-                                        EngineKind::kOptimized);
-  dev->timeline().set_enabled(true);
-  dev->timeline().set_max_records(8);
-  const gpusim::StreamId s = dev->create_stream(0);
-  for (int i = 0; i < 32; ++i) {
-    dev->launch_kernel(s, "ring", cfg(8, 64), cost(1e5), {});
-  }
-  dev->synchronize();
-  EXPECT_EQ(dev->timeline().kernels().size(), 8u);
-  EXPECT_EQ(dev->timeline().dropped_kernels(), 24u);
-  // The survivors are the most recent completions, in order.
-  for (std::size_t i = 1; i < dev->timeline().kernels().size(); ++i) {
-    EXPECT_LE(dev->timeline().kernels()[i - 1].end_ns,
-              dev->timeline().kernels()[i].end_ns);
-  }
-}
-
 }  // namespace

@@ -1,3 +1,4 @@
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "common/check.hpp"
 
 #include "core/glp4nn.hpp"
+#include "kernels/launcher.hpp"
 
 namespace {
 
@@ -415,6 +417,78 @@ TEST_F(SchedulerTest, BoundScopeRunsLaneZeroOnItsHomeStream) {
       << "slice stream 0 got work although lane 0 runs on the home stream";
   ctx.device().synchronize();
   s.clear_dag_op();
+}
+
+TEST_F(SchedulerTest, BindingStagerMergesOnlySteadyScopes) {
+  // A binding's stager stages every launch of its steady scopes, and
+  // end_scope flushes them as one merged launch per lane stream. A
+  // profiling scope, and a steady scope without the binding, submit every
+  // kernel.
+  const gpusim::StreamId home = ctx.device().create_stream();
+  kern::Stager stager;
+  kern::DagOpBinding batch;
+  batch.home_stream = home;
+  batch.stager = &stager;
+  kern::Launcher launcher;
+  launcher.ctx = &ctx;
+  launcher.mode = kern::ComputeMode::kTimingOnly;
+  launcher.name_prefix = "conv/fwd";
+  launcher.stager = &stager;
+  gpusim::Timeline& timeline = ctx.device().timeline();
+  timeline.set_enabled(true);
+
+  // One scope of `tasks` tasks with two launches each. Returns the
+  // kernels it submitted; `launches` counts the launches per lane stream.
+  std::map<gpusim::StreamId, int> launches;
+  const auto run = [&](RuntimeScheduler& s, int tasks) {
+    timeline.clear();
+    launches.clear();
+    s.begin_scope("conv/fwd", static_cast<std::size_t>(tasks));
+    for (int i = 0; i < tasks; ++i) {
+      const kern::Launcher lane =
+          launcher.with_stream(s.task_lane(static_cast<std::size_t>(i)).stream);
+      for (const char* kernel : {"im2col", "gemm"}) {
+        lane.launch(kernel, cfg(8, 256), {5e7, 5e7 / 4}, {});
+        ++launches[lane.stream];
+      }
+    }
+    s.end_scope();
+    EXPECT_FALSE(stager.armed);
+    EXPECT_EQ(stager.live, 0u);
+    ctx.device().synchronize();
+    return timeline.kernels();
+  };
+
+  RuntimeScheduler& s = scheduler();
+  s.bind_dag_op(batch);
+  EXPECT_EQ(run(s, 4).size(), 8u) << "a profiling scope was coalesced";
+  const std::vector<gpusim::KernelRecord> steady = run(s, 4);
+  EXPECT_GT(launches.size(), 1u) << "the steady scope ran on one stream";
+  EXPECT_EQ(steady.size(), launches.size());
+  for (const gpusim::KernelRecord& k : steady) {
+    EXPECT_EQ(k.name, std::string("conv/fwd/coalesced")
+                          .append(std::to_string(launches[k.stream])));
+  }
+  s.clear_dag_op();
+  EXPECT_EQ(run(s, 4).size(), 8u) << "an unbound scope was coalesced";
+
+  // A scope serialised by a stream-creation fault still runs steady on
+  // the home stream, and coalesces there.
+  SchedulerOptions fixed;
+  fixed.fixed_streams = 4;
+  RuntimeScheduler& faulty = scheduler(fixed);
+  scuda::FaultConfig faults;
+  faults.stream_create_failure_rate = 1.0;
+  ctx.faults().arm(faults);
+  faulty.bind_dag_op(batch);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<gpusim::KernelRecord> merged = run(faulty, 2);
+    ASSERT_EQ(merged.size(), 1u) << "pass " << pass;
+    EXPECT_EQ(merged[0].name, "conv/fwd/coalesced4");
+    EXPECT_EQ(merged[0].stream, home);
+  }
+  EXPECT_TRUE(faulty.scope_serialized("conv/fwd"));
+  faulty.clear_dag_op();
 }
 
 TEST_F(SchedulerTest, BindingsMustNotNest) {
