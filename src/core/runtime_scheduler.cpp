@@ -112,6 +112,9 @@ void RuntimeScheduler::begin_scope(const std::string& scope,
 }
 
 void RuntimeScheduler::begin_steady(int count) {
+  // T_s: the once-per-scope dispatch decision (pool, cut, fork); task_lane
+  // is a modulo and reads no clock.
+  const glp::WallTimer timer;
   pool_ = acquire_scope_pool(count);
   // Task i runs on lane i whenever the scope has no more tasks than the
   // pool has streams (round-robin and block-cyclic alike), so streams
@@ -127,6 +130,7 @@ void RuntimeScheduler::begin_steady(int count) {
   }
   mode_ = Mode::kSteady;
   fork_from_home();
+  scheduling_ms_ += timer.elapsed_ms();
 }
 
 std::vector<gpusim::StreamId> RuntimeScheduler::acquire_scope_pool(int count) {
@@ -159,7 +163,6 @@ kern::Lane RuntimeScheduler::task_lane(std::size_t index) {
   if (mode_ == Mode::kProfiling) {
     return kern::Lane{gpusim::kDefaultStream, 0};
   }
-  glp::WallTimer timer;
   std::size_t lane = 0;
   const std::size_t pool_size = pool_.size();
   switch (options_.policy) {
@@ -173,7 +176,6 @@ kern::Lane RuntimeScheduler::task_lane(std::size_t index) {
       break;
     }
   }
-  scheduling_ms_ += timer.elapsed_ms();
   return kern::Lane{pool_[lane], static_cast<int>(lane)};
 }
 

@@ -114,8 +114,9 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   const SchedulerOptions& options() const { return options_; }
   scuda::Context& context() { return *ctx_; }
 
-  /// Wall-clock scheduling cost accumulated in task_lane (the paper's
-  /// T_s — negligible for the static policy, measured anyway).
+  /// Wall-clock scheduling cost (the paper's T_s): pool acquisition, cut
+  /// and fork of every analyzer- or fixed-pool steady scope, timed once
+  /// per scope. task_lane's per-task modulo is not timed.
   double scheduling_ms() const { return scheduling_ms_; }
 
   /// Effective pool size after the option clamps (exposed for tests).

@@ -54,7 +54,7 @@ struct ConcurrencyDecision {
 struct FrameworkCosts {
   double profiling_ms = 0.0;   ///< T_p
   double analysis_ms = 0.0;    ///< T_a
-  double scheduling_ms = 0.0;  ///< T_s (static policy: ~0, tracked anyway)
+  double scheduling_ms = 0.0;  ///< T_s: steady scopes' pool, cut and fork
   std::size_t mem_tt_bytes = 0;
   std::size_t mem_k_bytes = 0;
   std::size_t mem_cupti_bytes = 0;

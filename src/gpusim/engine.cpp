@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 
 #include "common/check.hpp"
@@ -14,10 +13,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kWorkEpsilon = 1e-6;  // thread-cycles considered "done"
 constexpr int kMaxThreadsPerBlock = 1024;
-// Residency memos are small (a key + two doubles per resident kernel) but
-// adversarial workloads could produce unbounded distinct signatures; flush
-// wholesale past this population rather than tracking LRU order.
-constexpr std::size_t kMaxRateMemoEntries = 4096;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -102,8 +97,15 @@ void SeqWindow::grow() {
 //    subtraction, so a cached ETA would drift by an ulp.
 //  * min() over doubles is order-independent, so replacing scans with a
 //    cached minimum (copies) or an indexed subset (release heap) is safe.
-//  * The residency memo replays doubles produced by the identical
-//    computation on a prior event, so replay is bit-for-bit.
+//  * Rates are refreshed lazily: a completion marks them stale, and the
+//    next read — next_event_time, advance_to's burn, or a completion test
+//    a kernel could pass — repacks first. Nothing burns work between the
+//    completion and that read, so the repack sees the reference's inputs
+//    and yields its doubles. The completion scan repacks a stale set only
+//    for a kernel within ε at R = 2 * total lanes * clock, a bound on
+//    every rate (lanes <= capacity, slowdown <= 1): ε grows with the rate,
+//    so a kernel outside it fails the test at the stale and the fresh
+//    rate alike.
 
 SimDevice::SimDevice(DeviceProps props) : DeviceEngine(std::move(props)) {
   StreamState def;
@@ -477,6 +479,7 @@ bool SimDevice::start_op(Op& head) {
 }
 
 void SimDevice::recompute_rates() {
+  rates_stale_ = false;
   if (resident_.empty()) return;
 
   std::vector<ResidencyRequest>& reqs = reqs_scratch_;
@@ -486,39 +489,10 @@ void SimDevice::recompute_rates() {
     r.config = k.op.config;
     const double blocks_left =
         k.work_per_block > 0.0 ? k.work_left / k.work_per_block : 1.0;
-    r.blocks_wanted = static_cast<std::uint64_t>(std::max(1.0, std::ceil(blocks_left)));
+    r.blocks_wanted = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(1, ceil_nonneg(blocks_left)));
     reqs.push_back(r);
   }
-
-  // Resident-set signature: every input the packer, the register model and
-  // the lane allocator read (device props are fixed per engine).
-  std::vector<std::uint64_t>& key = memo_key_;
-  key.clear();
-  key.push_back(register_penalty_ ? 1u : 0u);
-  for (const ResidencyRequest& r : reqs) {
-    key.push_back(r.config.threads_per_block());
-    key.push_back(static_cast<std::uint64_t>(r.config.smem_per_block()));
-    key.push_back(static_cast<std::uint64_t>(r.config.regs_per_thread));
-    key.push_back(r.blocks_wanted);
-  }
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a over the words
-  for (const std::uint64_t w : key) {
-    hash ^= w;
-    hash *= 1099511628211ull;
-  }
-
-  auto [it, inserted] = rate_memo_.try_emplace(hash);
-  RateMemoEntry& entry = it->second;
-  if (!inserted && entry.key == key) {
-    // Replay the memoized outcome: the doubles were produced by the exact
-    // computation below on an earlier event, so this is bit-identical.
-    for (std::size_t i = 0; i < resident_.size(); ++i) {
-      resident_[i].lanes = entry.lanes_rates[i].first;
-      resident_[i].rate = entry.lanes_rates[i].second;
-    }
-    return;
-  }
-
   pack_residency_into(props_, reqs, slots_scratch_);
   const std::vector<ResidencySlot>& slots = slots_scratch_;
 
@@ -545,17 +519,14 @@ void SimDevice::recompute_rates() {
   const double capacity = static_cast<double>(props_.total_lanes());
   const double scale = (total_demand > capacity) ? capacity / total_demand : 1.0;
 
-  entry.key = key;
-  entry.lanes_rates.resize(resident_.size());
   for (std::size_t i = 0; i < resident_.size(); ++i) {
     resident_[i].lanes = demand[i] * scale;
     resident_[i].rate = resident_[i].lanes * props_.clock_ghz * slowdown;
-    entry.lanes_rates[i] = {resident_[i].lanes, resident_[i].rate};
   }
-  if (rate_memo_.size() > kMaxRateMemoEntries) rate_memo_.clear();
 }
 
-SimTime SimDevice::next_event_time() const {
+SimTime SimDevice::next_event_time() {
+  if (rates_stale_) recompute_rates();
   SimTime t = kInf;
   // Kernel ETAs use the reference's exact expression; the resident set is
   // bounded by max_concurrent_kernels, so this scan is O(C), not O(ops).
@@ -575,6 +546,7 @@ void SimDevice::advance_to(SimTime t) {
   GLP_CHECK(t >= now_);
   const SimTime dt = t - now_;
   if (dt > 0.0) {
+    if (rates_stale_) recompute_rates();
     double busy_lanes = 0.0;
     for (ActiveKernel& k : resident_) {
       SimTime run_dt = dt;
@@ -609,13 +581,23 @@ void SimDevice::advance_to(SimTime t) {
   // than what the kernel processes in one representable time step (~ulp
   // of `now`) can never be burnt down by a further advance, so it counts
   // as done. Without this the loop would spin on a femtosecond residue.
+  // While a completion has left the rates stale, only a kernel that passes
+  // at the rate bound `max_rate` could pass at its fresh rate: repack then.
+  const auto epsilon = [this](double rate) {
+    return kWorkEpsilon + rate * (now_ * 1e-9 + 1e-6);
+  };
+  const double max_rate = 2.0 * props_.total_lanes() * props_.clock_ghz;
   bool any_finished = true;
   while (any_finished) {
     any_finished = false;
     for (std::size_t i = 0; i < resident_.size(); ++i) {
+      if (resident_[i].latency_left > 0.0) continue;
+      if (rates_stale_) {
+        if (resident_[i].work_left > epsilon(max_rate)) continue;
+        recompute_rates();
+      }
       const ActiveKernel& k = resident_[i];
-      const double epsilon = kWorkEpsilon + k.rate * (now_ * 1e-9 + 1e-6);
-      if (k.latency_left <= 0.0 && k.work_left <= epsilon) {
+      if (k.work_left <= epsilon(k.rate)) {
         finish_kernel(i);
         any_finished = true;
         break;
@@ -676,7 +658,7 @@ void SimDevice::finish_kernel(std::size_t idx) {
 
   complete_op_bookkeeping(done.op.seq, done.op.non_blocking);
   end_in_flight(done.op.stream);
-  recompute_rates();
+  rates_stale_ = true;  // the next read repacks (see the ground rules)
 }
 
 void SimDevice::run_until(const std::function<bool()>& pred) {

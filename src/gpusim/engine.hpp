@@ -33,7 +33,9 @@
 //    executing kernel or copy) so each pass visits only streams whose head
 //    could start instead of every live stream, an incrementally
 //    maintained event horizon (release min-heap + cached copy minimum),
-//    and a residency/rate memo keyed on the resident-set signature. See
+//    and lazily refreshed rates: a completion marks the resident set's
+//    rates stale and the next read repacks it once, so a completion
+//    followed by an admission at the same instant costs one repack. See
 //    docs/PERFORMANCE.md ("Engine internals & hot path").
 //  * `ReferenceEngine` (reference_engine.hpp) — the original loop, kept
 //    verbatim as a testing seam. The two must stay event-for-event
@@ -46,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gpusim/device_props.hpp"
@@ -400,16 +401,6 @@ class SimDevice final : public DeviceEngine {
     return a.release > b.release;
   }
 
-  /// Memoized outcome of one residency repack + rate rescale, keyed by
-  /// the resident-set signature (per kernel: block shape, shared memory,
-  /// registers, blocks still wanted — everything the packer and the lane
-  /// allocator read). Values are the exact doubles the full computation
-  /// produced, so replaying from the memo is bit-identical.
-  struct RateMemoEntry {
-    std::vector<std::uint64_t> key;
-    std::vector<std::pair<double, double>> lanes_rates;  ///< per kernel
-  };
-
   void submit(Op op, SimTime host_cost_ns);
   void run_until(const std::function<bool()>& pred);
 
@@ -434,8 +425,12 @@ class SimDevice final : public DeviceEngine {
   void wake_released();
   bool op_ready(const Op& op) const;
   void complete_op_bookkeeping(std::uint64_t seq, bool non_blocking);
+  /// Repack the resident set and rescale every kernel's lanes and rate
+  /// (ReferenceEngine::recompute_rates); clears rates_stale_.
   void recompute_rates();
-  SimTime next_event_time() const;
+  /// Earliest pending event (kernel ETA, copy end, queue-head release);
+  /// refreshes stale rates before reading them.
+  SimTime next_event_time();
   SimTime peek_release() const;
   void push_release(const Op& head);
   void advance_to(SimTime t);
@@ -476,9 +471,10 @@ class SimDevice final : public DeviceEngine {
   SimTime copy_min_end_;               ///< min end_ns over copies_ (+inf if none)
   mutable std::vector<ReleaseEntry> release_heap_;
 
-  // Residency memo + reusable scratch (allocation-free steady state).
-  std::unordered_map<std::uint64_t, RateMemoEntry> rate_memo_;
-  std::vector<std::uint64_t> memo_key_;
+  /// A kernel completed since the last repack: resident_'s lanes and
+  /// rates are the pre-completion ones until recompute_rates runs.
+  bool rates_stale_ = false;
+  // Reusable repack scratch (allocation-free steady state).
   std::vector<ResidencyRequest> reqs_scratch_;
   std::vector<ResidencySlot> slots_scratch_;
   std::vector<double> demand_scratch_;

@@ -1,7 +1,6 @@
 #include "gpusim/occupancy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -71,9 +70,9 @@ void pack_residency_into(const DeviceProps& dev,
     // fewer blocks than SMs do not over-reserve capacity they cannot use.
     const double avg_per_sm =
         static_cast<double>(out[i].resident_blocks) / dev.sm_count;
-    threads_left -= static_cast<std::int64_t>(std::ceil(avg_per_sm * threads));
-    smem_left -= static_cast<std::int64_t>(std::ceil(avg_per_sm * smem));
-    blocks_left -= static_cast<std::int64_t>(std::ceil(avg_per_sm));
+    threads_left -= ceil_nonneg(avg_per_sm * threads);
+    smem_left -= ceil_nonneg(avg_per_sm * smem);
+    blocks_left -= ceil_nonneg(avg_per_sm);
     threads_left = std::max<std::int64_t>(threads_left, 0);
     smem_left = std::max<std::int64_t>(smem_left, 0);
     blocks_left = std::max<std::int64_t>(blocks_left, 0);

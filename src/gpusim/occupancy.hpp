@@ -6,12 +6,22 @@
 // are a *soft* constraint (spilling slows execution but does not limit
 // residency).
 
+#include <cstdint>
 #include <vector>
 
 #include "gpusim/device_props.hpp"
 #include "gpusim/types.hpp"
 
 namespace gpusim {
+
+/// static_cast<std::int64_t>(std::ceil(x)) for finite 0 ≤ x < 2^63, without
+/// the libm call std::ceil is on x86-64 targets without SSE4.1. Exact: the
+/// truncation is x's floor and converts back exactly (every double ≥ 2^52
+/// is already integral).
+inline std::int64_t ceil_nonneg(double x) {
+  const auto t = static_cast<std::int64_t>(x);
+  return static_cast<double>(t) < x ? t + 1 : t;
+}
 
 /// Residency demand of one kernel instance during packing.
 struct ResidencyRequest {

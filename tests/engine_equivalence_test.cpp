@@ -3,11 +3,12 @@
 // ReferenceEngine seam — identical kernel/copy records (every timestamp
 // bit-for-bit), identical training results, identical serving replays —
 // on fuzzed programs, fault-injected programs, and targeted regressions
-// for the incremental structures (runnable-stream index, residency memo,
-// release horizon).
+// for the incremental structures (runnable-stream index, lazily
+// refreshed rates, release horizon).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "gpusim/engine.hpp"
@@ -212,9 +213,9 @@ TEST(EngineEquivalence, AdmissionOrderTiesUnderEqualPriorities) {
 }
 
 // Regression: stream destruction mid-program. The optimized engine's
-// runnable-stream index and release horizon must drop the stream, and the
-// residency-rate memo must keep answering correctly for resident sets
-// formed before and after the destroy.
+// runnable-stream index and release horizon must drop the stream, and
+// rates must stay right for resident sets formed before and after the
+// destroy.
 TEST(EngineEquivalence, StreamDestroyInvalidation) {
   expect_program_equivalent([](gpusim::DeviceEngine& dev) {
     for (int wave = 0; wave < 4; ++wave) {
@@ -222,8 +223,7 @@ TEST(EngineEquivalence, StreamDestroyInvalidation) {
       for (int s = 0; s < 3; ++s) pool.push_back(dev.create_stream(s));
       for (int round = 0; round < 8; ++round) {
         for (const gpusim::StreamId s : pool) {
-          // Same configs each wave: the rate memo sees repeat signatures
-          // across destroys and must replay identical rates.
+          // Same configs each wave: repeat resident sets across destroys.
           dev.launch_kernel(s, "wave", cfg(24, 256, 40, 4096), cost(4e5), {});
         }
       }
@@ -273,6 +273,45 @@ TEST(EngineEquivalence, CrossStreamEventChains) {
       if (i % 5 == 0) {
         EXPECT_EQ(dev.event_complete(ev), dev.event_complete(ev));
         dev.synchronize_event(ev);
+      }
+    }
+  });
+}
+
+// --- lazily refreshed rates -------------------------------------------------
+//
+// A completion leaves the optimized engine's rates stale until the next
+// read repacks. Past 2^33 ns the completion test's ε, which scales with
+// the clock, covers ~8.6 ns of each kernel's progress (thousands of
+// thread-cycles), so kernels finishing within nanoseconds of each other
+// complete at one instant, and whether each does depends on its rate
+// *after* the others left. Waves of identical kernels on 8 streams gate
+// together behind a default-stream kernel; each completion frees a slot
+// its stream refills at the same instant, and the ragged ends of a wave
+// leave completions no admission follows. Wave shapes and slightly
+// jittered costs vary the resident sets past 4096 distinct signatures.
+TEST(EngineEquivalence, LazyRatesAtCoincidentCompletions) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    std::uint64_t state = 0x6a09e667f3bcc909ull;
+    const auto rnd = [&state](std::uint64_t bound) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state % bound;
+    };
+    dev.host_advance(std::ldexp(1.0, 33));
+    std::vector<gpusim::StreamId> streams;
+    for (int s = 0; s < 8; ++s) streams.push_back(dev.create_stream(0));
+    for (int wave = 0; wave < 450; ++wave) {
+      dev.launch_kernel(gpusim::kDefaultStream, "gate", cfg(15, 128), cost(1e6), {});
+      const gpusim::LaunchConfig shape =
+          cfg(4 + rnd(60), 32u * (1 + rnd(16)), 16 + 8 * rnd(20), 1024 * rnd(5));
+      const double flops = 2e6 + 2e5 * rnd(40);
+      for (int depth = 0; depth < 6; ++depth) {
+        for (const gpusim::StreamId s : streams) {
+          dev.launch_kernel(s, "wave", shape,
+                            cost(flops * (1.0 + 1e-5 * rnd(8))), {});
+        }
       }
     }
   });

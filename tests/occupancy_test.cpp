@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "common/check.hpp"
 
 #include "common/rng.hpp"
 #include "gpusim/occupancy.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -142,6 +147,109 @@ TEST_P(PackProperty, HardConstraintsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Random, PackProperty,
                          ::testing::Range<std::uint64_t>(0, 50));
+
+// The packer and register model as first written, with std::ceil: the
+// integer ceilings that replaced it must reproduce them bit for bit.
+std::vector<ResidencySlot> ceil_pack(const DeviceProps& dev,
+                                     const std::vector<ResidencyRequest>& reqs) {
+  std::vector<ResidencySlot> out(reqs.size());
+  std::int64_t threads_left = dev.max_threads_per_sm;
+  std::int64_t smem_left = static_cast<std::int64_t>(dev.shared_mem_per_sm);
+  std::int64_t blocks_left = dev.max_blocks_per_sm;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const ResidencyRequest& r = reqs[i];
+    if (r.blocks_wanted == 0) continue;
+    const std::int64_t threads = static_cast<std::int64_t>(r.config.threads_per_block());
+    const std::int64_t smem = static_cast<std::int64_t>(r.config.smem_per_block());
+    const std::int64_t want_per_sm = static_cast<std::int64_t>(
+        (r.blocks_wanted + dev.sm_count - 1) / dev.sm_count);
+    std::int64_t fit = std::min<std::int64_t>(want_per_sm, blocks_left);
+    if (threads > 0) fit = std::min(fit, threads_left / threads);
+    if (smem > 0) fit = std::min(fit, smem_left / smem);
+    fit = std::max<std::int64_t>(fit, 0);
+    out[i].blocks_per_sm = static_cast<int>(fit);
+    out[i].resident_blocks = std::min<std::uint64_t>(
+        r.blocks_wanted, static_cast<std::uint64_t>(fit) * dev.sm_count);
+    const double avg_per_sm =
+        static_cast<double>(out[i].resident_blocks) / dev.sm_count;
+    threads_left -= static_cast<std::int64_t>(std::ceil(avg_per_sm * threads));
+    smem_left -= static_cast<std::int64_t>(std::ceil(avg_per_sm * smem));
+    blocks_left -= static_cast<std::int64_t>(std::ceil(avg_per_sm));
+    threads_left = std::max<std::int64_t>(threads_left, 0);
+    smem_left = std::max<std::int64_t>(smem_left, 0);
+    blocks_left = std::max<std::int64_t>(blocks_left, 0);
+  }
+  return out;
+}
+
+double ceil_register_pressure(const DeviceProps& dev,
+                              const std::vector<ResidencyRequest>& reqs,
+                              const std::vector<ResidencySlot>& slots) {
+  double regs = 0.0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const double avg_per_sm =
+        static_cast<double>(slots[i].resident_blocks) / dev.sm_count;
+    regs += avg_per_sm * static_cast<double>(reqs[i].config.threads_per_block()) *
+            reqs[i].config.regs_per_thread;
+  }
+  return regs / static_cast<double>(dev.registers_per_sm);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(PackResidency, IntegerCeilingsMatchStdCeilBitForBit) {
+  const std::uint64_t seed = glptest::test_seed(0x9ac4);
+  GLP_SCOPED_SEED(seed);
+  glp::Rng rng(seed);
+  const auto devices = DeviceTable::all();
+  std::size_t small_grids = 0, exhausted = 0, single_block = 0, no_smem = 0;
+  for (int set = 0; set < 100000; ++set) {
+    const DeviceProps& d = devices[rng.next_below(devices.size())];
+    std::vector<ResidencyRequest> reqs(1 + rng.next_below(12));
+    for (ResidencyRequest& r : reqs) {
+      // Odd block sizes and shared-memory footprints make the per-SM
+      // averages fractional, where the two ceilings could part.
+      const auto threads = static_cast<unsigned>(1 + rng.next_below(1024));
+      const unsigned grid =
+          rng.next_below(3) == 0
+              ? static_cast<unsigned>(1 + rng.next_below(d.sm_count))
+              : static_cast<unsigned>(1 + rng.next_below(1u << (1 + rng.next_below(20))));
+      const std::size_t smem =
+          rng.next_below(2) == 0 ? 0 : 1 + rng.next_below(d.shared_mem_per_sm / 4);
+      r.config = cfg(grid, threads, smem, 8 + static_cast<int>(rng.next_below(248)));
+      switch (rng.next_below(4)) {
+        case 0: r.blocks_wanted = 1; break;
+        case 1: r.blocks_wanted = grid; break;
+        default: r.blocks_wanted = rng.next_below(std::uint64_t{grid} + 1); break;
+      }
+      small_grids += grid < static_cast<unsigned>(d.sm_count);
+      single_block += r.blocks_wanted == 1;
+      no_smem += smem == 0;
+    }
+    const std::vector<ResidencySlot> want = ceil_pack(d, reqs);
+    const std::vector<ResidencySlot> got = pack_residency(d, reqs);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      ASSERT_EQ(got[i].blocks_per_sm, want[i].blocks_per_sm) << "set " << set << " kernel " << i;
+      ASSERT_EQ(got[i].resident_blocks, want[i].resident_blocks) << "set " << set << " kernel " << i;
+    }
+    // A wanted kernel packed at zero blocks: some budget ran out before it.
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (reqs[i].blocks_wanted > 0 && want[i].resident_blocks == 0) {
+        ++exhausted;
+        break;
+      }
+    }
+    ASSERT_TRUE(same_bits(gpusim::register_pressure(d, reqs, got),
+                          ceil_register_pressure(d, reqs, want)))
+        << "set " << set;
+  }
+  // The corpus reaches every regime the ceilings touch.
+  EXPECT_GT(small_grids, 10000u);
+  EXPECT_GT(exhausted, 10000u);
+  EXPECT_GT(single_block, 10000u);
+  EXPECT_GT(no_smem, 10000u);
+}
 
 // --- register soft constraint ---------------------------------------------------
 
