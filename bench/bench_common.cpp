@@ -132,7 +132,12 @@ void print_row(const std::vector<std::string>& cells,
 std::string provenance_json(const std::string& device) {
   std::string git = "unknown";
 #if !defined(_WIN32)
-  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+  // Describe the source tree the bench was built from, not the working
+  // directory it happens to run in.
+  const std::string cmd = std::string("git -C '")
+                              .append(GLP_SOURCE_DIR)
+                              .append("' describe --always --dirty 2>/dev/null");
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
     char buf[128] = {};
     if (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
       std::string line(buf);

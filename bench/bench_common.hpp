@@ -76,8 +76,10 @@ void print_row(const std::vector<std::string>& cells,
 
 /// Common provenance block every committed BENCH_*.json emitter stamps
 /// right after its schema line: the simulated device generation, the
-/// host's hardware thread count and the working tree's `git describe`
-/// (or "unknown" outside a repo). Returns one indented line ending in
+/// host's hardware thread count and the `git describe` of the source tree
+/// the bench was configured from (or "unknown" when that tree is not a
+/// git checkout), whatever directory it runs in. Returns one indented
+/// line ending in
 /// ",\n", ready to stream into the top-level JSON object:
 ///   "provenance": {"device": "P100", "host_threads": 16, "git": "..."},
 std::string provenance_json(const std::string& device);

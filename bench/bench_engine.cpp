@@ -17,6 +17,13 @@
 //     a few pool streams off its slice's home stream through an event and
 //     joins them back, and the device is driven up to the host clock
 //     after every scope. Stresses the per-pass cost of idle streams.
+//   * glp4nn-scopes: a GLP4NN training step's launch stream — per layer,
+//     a default-stream kernel, a fork event, lane streams running
+//     per-sample kernels of mixed grid sizes, and a join back to the
+//     default stream. The host runs scopes ahead of the device, so each
+//     lane's next scope waits behind a default-stream barrier: the stream
+//     walk and residency repacks over a multi-kernel resident set that
+//     GLP4NN's host overhead is made of.
 //
 // Timings are real wall-clock (this benchmark measures the simulator
 // itself, not the simulated device), so absolute numbers vary across
@@ -205,6 +212,61 @@ WorkloadResult run_sparse_pool(gpusim::EngineKind kind, int slices, int width,
   return r;
 }
 
+/// Per-sample kernel shapes of mixed grid sizes, as a convolution's
+/// per-image GEMMs and im2col kernels mix them.
+gpusim::LaunchConfig sample_config(unsigned variant) {
+  gpusim::LaunchConfig cfg;
+  cfg.grid = {4 + (variant * 37) % 192, 1, 1};
+  cfg.block = {64u << (variant % 3), 1, 1};
+  cfg.regs_per_thread = 32 + static_cast<int>(variant % 4) * 8;
+  cfg.smem_static_bytes = (variant % 2) * 4096;
+  return cfg;
+}
+
+/// `lanes` lane streams; each of `scopes` scopes launches a default-stream
+/// kernel, records a fork event every lane waits on, spreads `samples`
+/// per-sample kernels round-robin over the lanes, and joins every lane
+/// back into the default stream. The host syncs once every `sync_every`
+/// scopes (an iteration), so up to that many scopes queue at once and
+/// every lane head but the running scope's waits on the default stream.
+WorkloadResult run_glp4nn_scopes(gpusim::EngineKind kind, int lanes, int scopes,
+                                 int samples, int sync_every) {
+  auto dev = gpusim::make_device_engine(gpusim::DeviceTable::p100(), kind);
+  std::vector<gpusim::StreamId> ids;
+  for (int l = 0; l < lanes; ++l) ids.push_back(dev->create_stream(0));
+
+  WorkloadResult r;
+  std::vector<gpusim::EventId> joins;
+  const auto t0 = Clock::now();
+  for (int scope = 0; scope < scopes; ++scope) {
+    dev->launch_kernel(gpusim::kDefaultStream, "layer",
+                       small_config(static_cast<unsigned>(scope)), small_cost(),
+                       {});
+    const gpusim::EventId fork = dev->record_event(gpusim::kDefaultStream);
+    r.ops += 2;
+    for (const gpusim::StreamId id : ids) dev->wait_event(id, fork);
+    r.ops += ids.size();
+    for (int n = 0; n < samples; ++n) {
+      dev->launch_kernel(ids[static_cast<std::size_t>(n % lanes)], "sample",
+                         sample_config(static_cast<unsigned>(scope * samples + n)),
+                         small_cost(), {});
+      ++r.ops;
+    }
+    joins.clear();
+    for (const gpusim::StreamId id : ids) joins.push_back(dev->record_event(id));
+    for (const gpusim::EventId ev : joins) {
+      dev->wait_event(gpusim::kDefaultStream, ev);
+    }
+    r.ops += 2 * joins.size();
+    if ((scope + 1) % sync_every == 0) dev->synchronize();
+  }
+  dev->synchronize();
+  for (gpusim::StreamId id : ids) dev->destroy_stream(id);
+  r.wall_ms = ms_since(t0);
+  r.sim_ns = dev->device_now();
+  return r;
+}
+
 struct Record {
   std::string workload;
   std::string engine;
@@ -278,11 +340,15 @@ int main(int argc, char** argv) {
     // Four 24-wide slices: 96 pool + 4 home + the default stream.
     const int pool_slices = 4, pool_width = 24;
     int scopes = 3000;
+    // Eight lanes, 32 samples per scope, 16 scopes an iteration.
+    const int glp_lanes = 8, glp_samples = 32, glp_sync_every = 16;
+    int glp_scopes = 800;
     if (quick) {
       sweep_streams = {32};
       rounds = 120;
       batches = 200;
       scopes = 1000;
+      glp_scopes = 240;
     }
 
     std::vector<Record> records;
@@ -323,6 +389,10 @@ int main(int argc, char** argv) {
              [&](gpusim::EngineKind kind) {
                return run_sparse_pool(kind, pool_slices, pool_width, scopes);
              });
+    run_pair("glp4nn-scopes", glp_lanes + 1, [&](gpusim::EngineKind kind) {
+      return run_glp4nn_scopes(kind, glp_lanes, glp_scopes, glp_samples,
+                               glp_sync_every);
+    });
 
     write_json(out, records);
     std::printf("wrote %s (%zu records)\n", out.c_str(), records.size());

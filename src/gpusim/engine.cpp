@@ -106,12 +106,18 @@ void SeqWindow::grow() {
 //    every rate (lanes <= capacity, slowdown <= 1): ε grows with the rate,
 //    so a kernel outside it fails the test at the stale and the fresh
 //    rate alike.
+//  * A head waiting on an incomplete default-stream op (its default_dep,
+//    or the default stream's own head on the barrier) is parked off the
+//    runnable index, and the op's completion puts it back. A pass would
+//    only have failed it, and the wake-up sets its bit at once, so a pass
+//    still running visits it exactly when the reference's walk would find
+//    it ready.
 
 SimDevice::SimDevice(DeviceProps props) : DeviceEngine(std::move(props)) {
-  StreamState def;
-  def.live = true;
-  def.level = &runnable_[0];
-  def.level->resize(1);
+  auto def = std::make_unique<StreamState>();
+  def->live = true;
+  def->level = &runnable_[0];
+  def->level->resize(1);
   streams_.push_back(std::move(def));  // the default stream always exists
   live_streams_ = 1;
   events_.resize(1);  // EventIds start at 1; slot 0 stays kUnknown
@@ -121,15 +127,15 @@ SimDevice::SimDevice(DeviceProps props) : DeviceEngine(std::move(props)) {
 StreamId SimDevice::create_stream(int priority, bool non_blocking) {
   const StreamId id = next_stream_++;
   GLP_CHECK(static_cast<std::size_t>(id) == streams_.size());
-  StreamState st;
-  st.priority = priority;
-  st.live = true;
-  st.non_blocking = non_blocking;
+  auto st = std::make_unique<StreamState>();
+  st->priority = priority;
+  st->live = true;
+  st->non_blocking = non_blocking;
   // Size the level's bitset to cover the new id now, so marking the
   // stream runnable never grows it.
-  st.level = &runnable_[priority];
-  st.level->resize(std::max(st.level->size(),
-                            static_cast<std::size_t>(id) / 64 + 1));
+  st->level = &runnable_[priority];
+  st->level->resize(std::max(st->level->size(),
+                             static_cast<std::size_t>(id) / 64 + 1));
   streams_.push_back(std::move(st));
   ++live_streams_;
   return id;
@@ -353,16 +359,34 @@ SimTime SimDevice::peek_release() const {
   return kInf;
 }
 
-bool SimDevice::op_ready(const Op& op) const {
-  if (op.release > now_) return false;
-  if (op.barrier) {
+bool SimDevice::park_on_default_stream(StreamId stream, const Op& head) {
+  if (head.barrier) {
     // Ready only when every earlier-submitted *blocking* op has completed
     // (non-blocking streams are exempt from the legacy barrier).
     GLP_CHECK(!barrier_window_.empty());
-    if (barrier_window_.min_incomplete() != op.seq) return false;
-  } else if (op.default_dep != 0 && incomplete_.contains(op.default_dep)) {
+    if (barrier_window_.min_incomplete() == head.seq) return false;
+    parked_barrier_ = head.seq;
+  } else if (head.default_dep != 0 && incomplete_.contains(head.default_dep)) {
+    parked_.push_back(ParkedHead{head.default_dep, stream});
+    if (next_wake_dep_ == 0 || head.default_dep < next_wake_dep_) {
+      next_wake_dep_ = head.default_dep;
+    }
+  } else {
     return false;
   }
+  stream_state(stream).parked = true;
+  set_runnable(stream, false);
+  return true;
+}
+
+void SimDevice::unpark(StreamId stream) {
+  StreamState& st = stream_state(stream);
+  st.parked = false;
+  set_runnable(stream, runnable(st));
+}
+
+bool SimDevice::op_ready(const Op& op) const {
+  if (op.release > now_) return false;
   if (op.stream_dep != 0 && incomplete_.contains(op.stream_dep)) return false;
   if (op.kind == OpKind::kWaitEvent) {
     return events_[op.event].state == EventState::kRecorded;
@@ -376,8 +400,31 @@ bool SimDevice::op_ready(const Op& op) const {
 void SimDevice::complete_op_bookkeeping(std::uint64_t seq, bool non_blocking) {
   incomplete_.complete(seq);
   // Non-blocking ops were marked complete in the barrier window at
-  // submission; completing them twice would corrupt its count.
-  if (!non_blocking) barrier_window_.complete(seq);
+  // submission; completing them twice would corrupt its count. They are
+  // nobody's default_dep and never move the barrier either.
+  if (non_blocking) return;
+  barrier_window_.complete(seq);
+  if (seq == next_wake_dep_) {
+    // Wake the heads parked on this default-stream op; the rest wait on
+    // later ones.
+    next_wake_dep_ = 0;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < parked_.size(); ++i) {
+      const ParkedHead p = parked_[i];
+      if (p.dep == seq) {
+        unpark(p.stream);
+        continue;
+      }
+      parked_[kept++] = p;
+      if (next_wake_dep_ == 0 || p.dep < next_wake_dep_) next_wake_dep_ = p.dep;
+    }
+    parked_.resize(kept);
+  }
+  if (parked_barrier_ != 0 &&
+      barrier_window_.min_incomplete() == parked_barrier_) {
+    parked_barrier_ = 0;
+    unpark(kDefaultStream);
+  }
 }
 
 bool SimDevice::start_ready_ops() {
@@ -405,7 +452,7 @@ bool SimDevice::start_ready_ops() {
         const StreamId sid = static_cast<StreamId>(base) + b;
         for (;;) {
           Op& head = stream_state(sid).queue.front();
-          if (!op_ready(head)) break;
+          if (park_on_default_stream(sid, head) || !op_ready(head)) break;
           kernel_admitted |= start_op(head);
           progress = true;
           // Pop the consumed head. Re-fetch the stream slot: a host
@@ -433,14 +480,30 @@ bool SimDevice::start_op(Op& head) {
   switch (head.kind) {
     case OpKind::kKernel: {
       stream_state(head.stream).in_flight = true;
-      ActiveKernel active;
-      active.op = std::move(head);
-      active.admit_ns = now_;
-      active.latency_left = props_.kernel_start_latency_us * kUs;
-      active.work_left = work_thread_cycles(active.op.config, active.op.cost);
-      active.work_per_block =
-          active.work_left / static_cast<double>(active.op.config.total_blocks());
-      resident_.push_back(std::move(active));
+      const LaunchConfig& config = head.config;
+      const std::uint64_t threads = config.threads_per_block();
+      Resident k;
+      k.latency_left = props_.kernel_start_latency_us * kUs;
+      k.work_left = work_thread_cycles(config, head.cost);
+      k.work_per_block =
+          k.work_left / static_cast<double>(config.total_blocks());
+      const double warp_threads =
+          static_cast<double>((threads + props_.warp_size - 1) / props_.warp_size) *
+          props_.warp_size;
+      k.lane_cap = std::min(warp_threads, static_cast<double>(props_.cores_per_sm));
+      // validate_launch bounds both: <= 1024 threads, <= one SM's smem.
+      k.threads = static_cast<std::int32_t>(threads);
+      k.smem = static_cast<std::int32_t>(config.smem_per_block());
+      k.regs = config.regs_per_thread;
+      if (free_slots_.empty()) {
+        k.slot = static_cast<std::uint32_t>(kernel_slab_.size());
+        kernel_slab_.push_back(KernelSlot{std::move(head), now_});
+      } else {
+        k.slot = free_slots_.back();
+        free_slots_.pop_back();
+        kernel_slab_[k.slot] = KernelSlot{std::move(head), now_};
+      }
+      resident_.push_back(k);
       return true;
     }
     case OpKind::kCopy: {
@@ -482,46 +545,49 @@ void SimDevice::recompute_rates() {
   rates_stale_ = false;
   if (resident_.empty()) return;
 
-  std::vector<ResidencyRequest>& reqs = reqs_scratch_;
-  reqs.clear();
-  for (const ActiveKernel& k : resident_) {
-    ResidencyRequest r;
-    r.config = k.op.config;
+  // ReferenceEngine::recompute_rates fused into one admission-order pass:
+  // each kernel's residency request, its packer step, its register load
+  // and its lane demand (parked in `lanes` until the scale is known). The
+  // sums run in the reference's order, so they round alike. Once the
+  // per-SM budget is exhausted every later kernel packs zero blocks, adds
+  // zero to both sums and gets no lanes.
+  PackBudget budget(props_);
+  double regs = 0.0;
+  double total_demand = 0.0;
+  double avg_per_sm = 0.0;
+  std::size_t packed = 0;
+  for (; packed < resident_.size() && !budget.exhausted(); ++packed) {
+    Resident& k = resident_[packed];
     const double blocks_left =
         k.work_per_block > 0.0 ? k.work_left / k.work_per_block : 1.0;
-    r.blocks_wanted = static_cast<std::uint64_t>(
+    const auto blocks_wanted = static_cast<std::uint64_t>(
         std::max<std::int64_t>(1, ceil_nonneg(blocks_left)));
-    reqs.push_back(r);
+    const ResidencySlot slot =
+        pack_step(props_, budget, blocks_wanted, k.threads, k.smem, avg_per_sm);
+    regs += avg_per_sm * static_cast<double>(k.threads) * k.regs;
+    // Lane allocation: each resident block can use at most lane_cap
+    // lanes; when the aggregate demand exceeds the device's lanes,
+    // everyone scales proportionally.
+    k.lanes = static_cast<double>(slot.resident_blocks) * k.lane_cap;
+    total_demand += k.lanes;
   }
-  pack_residency_into(props_, reqs, slots_scratch_);
-  const std::vector<ResidencySlot>& slots = slots_scratch_;
 
   double slowdown = 1.0;
   if (register_penalty_) {
-    slowdown = register_slowdown(register_pressure(props_, reqs, slots));
-  }
-
-  // Lane allocation: each resident block can use at most min(block
-  // threads rounded up to warps, cores per SM) lanes; when the aggregate
-  // demand exceeds the device's lanes, everyone scales proportionally.
-  double total_demand = 0.0;
-  std::vector<double>& demand = demand_scratch_;
-  demand.assign(resident_.size(), 0.0);
-  for (std::size_t i = 0; i < resident_.size(); ++i) {
-    const auto threads = resident_[i].op.config.threads_per_block();
-    const double warp_threads =
-        static_cast<double>((threads + props_.warp_size - 1) / props_.warp_size) *
-        props_.warp_size;
-    const double per_block = std::min(warp_threads, static_cast<double>(props_.cores_per_sm));
-    demand[i] = static_cast<double>(slots[i].resident_blocks) * per_block;
-    total_demand += demand[i];
+    slowdown =
+        register_slowdown(regs / static_cast<double>(props_.registers_per_sm));
   }
   const double capacity = static_cast<double>(props_.total_lanes());
   const double scale = (total_demand > capacity) ? capacity / total_demand : 1.0;
 
-  for (std::size_t i = 0; i < resident_.size(); ++i) {
-    resident_[i].lanes = demand[i] * scale;
-    resident_[i].rate = resident_[i].lanes * props_.clock_ghz * slowdown;
+  for (std::size_t i = 0; i < packed; ++i) {
+    Resident& k = resident_[i];
+    k.lanes = k.lanes * scale;
+    k.rate = k.lanes * props_.clock_ghz * slowdown;
+  }
+  for (std::size_t i = packed; i < resident_.size(); ++i) {
+    resident_[i].lanes = 0.0;
+    resident_[i].rate = 0.0;
   }
 }
 
@@ -530,7 +596,7 @@ SimTime SimDevice::next_event_time() {
   SimTime t = kInf;
   // Kernel ETAs use the reference's exact expression; the resident set is
   // bounded by max_concurrent_kernels, so this scan is O(C), not O(ops).
-  for (const ActiveKernel& k : resident_) {
+  for (const Resident& k : resident_) {
     if (k.rate > 0.0) {
       t = std::min(t, now_ + k.latency_left + k.work_left / k.rate);
     } else if (k.latency_left > 0.0) {
@@ -548,7 +614,7 @@ void SimDevice::advance_to(SimTime t) {
   if (dt > 0.0) {
     if (rates_stale_) recompute_rates();
     double busy_lanes = 0.0;
-    for (ActiveKernel& k : resident_) {
+    for (Resident& k : resident_) {
       SimTime run_dt = dt;
       if (k.latency_left > 0.0) {
         const SimTime consumed = std::min(k.latency_left, run_dt);
@@ -570,7 +636,7 @@ void SimDevice::advance_to(SimTime t) {
   // Clamp latency residues too small to be represented as a time advance
   // (below ~1 ulp of the clock): their "latency end" event would round to
   // `now` and the loop could never consume them.
-  for (ActiveKernel& k : resident_) {
+  for (Resident& k : resident_) {
     if (k.latency_left > 0.0 && k.latency_left <= now_ * 1e-12 + 1e-9) {
       k.latency_left = 0.0;
     }
@@ -596,7 +662,7 @@ void SimDevice::advance_to(SimTime t) {
         if (resident_[i].work_left > epsilon(max_rate)) continue;
         recompute_rates();
       }
-      const ActiveKernel& k = resident_[i];
+      const Resident& k = resident_[i];
       if (k.work_left <= epsilon(k.rate)) {
         finish_kernel(i);
         any_finished = true;
@@ -639,14 +705,18 @@ void SimDevice::advance_to(SimTime t) {
 }
 
 void SimDevice::finish_kernel(std::size_t idx) {
-  ActiveKernel done = std::move(resident_[idx]);
+  const std::uint32_t slot = resident_[idx].slot;
   resident_.erase(resident_.begin() + static_cast<std::ptrdiff_t>(idx));
+  // Move the op out before its functor runs: the functor may launch
+  // kernels, and admitting one can grow the slab.
+  KernelSlot done = std::move(kernel_slab_[slot]);
+  free_slots_.push_back(slot);
 
   if (done.op.work) done.op.work();
 
   KernelRecord rec;
   rec.correlation_id = done.op.correlation;
-  rec.name = done.op.name;
+  rec.name = std::move(done.op.name);
   rec.stream = done.op.stream;
   rec.config = done.op.config;
   rec.submit_ns = done.op.release;
@@ -702,7 +772,7 @@ void SimDevice::run_until(const std::function<bool()>& pred) {
                  " ddep=" + std::to_string(head.default_dep) + "]";
       }
       double min_eta = -1;
-      for (const ActiveKernel& k : resident_) {
+      for (const Resident& k : resident_) {
         if (k.rate > 0.0) {
           const double eta = now_ + k.latency_left + k.work_left / k.rate;
           if (min_eta < 0 || eta < min_eta) min_eta = eta;
@@ -788,8 +858,8 @@ SimTime SimDevice::event_time(EventId event) const {
 bool SimDevice::stream_idle(StreamId stream) const {
   GLP_REQUIRE(stream_live(stream), "query on unknown stream " << stream);
   if (!stream_state(stream).queue.empty()) return false;
-  for (const ActiveKernel& k : resident_) {
-    if (k.op.stream == stream) return false;
+  for (const Resident& k : resident_) {
+    if (kernel_slab_[k.slot].op.stream == stream) return false;
   }
   for (const ActiveCopy& c : copies_) {
     if (c.op.stream == stream) return false;

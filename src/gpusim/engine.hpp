@@ -29,10 +29,12 @@
 //  * `SimDevice` — the production engine. Flat indexed stream table, an
 //    O(1) sequence window instead of an ordered incomplete-set, a
 //    runnable-stream index (one bitset per priority, set while a
-//    stream's queue head is released and not waiting on the stream's own
-//    executing kernel or copy) so each pass visits only streams whose head
-//    could start instead of every live stream, an incrementally
-//    maintained event horizon (release min-heap + cached copy minimum),
+//    stream's queue head is released, not waiting on the stream's own
+//    executing kernel or copy, and not parked behind an incomplete
+//    default-stream op) so each pass visits only streams whose head could
+//    start instead of every live stream, an incrementally maintained
+//    event horizon (release min-heap + cached copy minimum), a resident
+//    set of compact one-cache-line records repacked in one fused pass,
 //    and lazily refreshed rates: a completion marks the resident set's
 //    rates stale and the next read repacks it once, so a completion
 //    followed by an admission at the same instant costs one repack. See
@@ -347,14 +349,30 @@ class SimDevice final : public DeviceEngine {
     SimTime issue_at = -1.0;     ///< comm-driver release override (< 0: host)
   };
 
-  struct ActiveKernel {
-    Op op;
-    SimTime admit_ns = 0.0;
-    SimTime latency_left = 0.0;  ///< device-side start latency to consume
+  /// One kernel of the resident set, in admission order: the fields the
+  /// burn, the completion scan, the horizon and the repack read, packed
+  /// into one cache line. The fat Op waits in kernel_slab_ until the
+  /// kernel completes.
+  struct Resident {
     double work_left = 0.0;      ///< thread-cycles
-    double work_per_block = 0.0;
+    SimTime latency_left = 0.0;  ///< device-side start latency to consume
     double rate = 0.0;           ///< thread-cycles per ns (current share)
     double lanes = 0.0;          ///< lanes occupied (for utilisation stats)
+    double work_per_block = 0.0;
+    /// Lanes one resident block can use: its threads rounded up to warps,
+    /// capped at the cores of an SM.
+    double lane_cap = 0.0;
+    std::int32_t threads = 0;    ///< threads per block
+    std::int32_t smem = 0;       ///< shared memory per block (bytes)
+    std::int32_t regs = 0;       ///< registers per thread
+    std::uint32_t slot = 0;      ///< the kernel's entry in kernel_slab_
+  };
+  static_assert(sizeof(Resident) == 64, "a resident record is one cache line");
+
+  /// Cold half of a resident kernel: what only its completion reads.
+  struct KernelSlot {
+    Op op;
+    SimTime admit_ns = 0.0;
   };
 
   struct ActiveCopy {
@@ -378,7 +396,17 @@ class SimDevice final : public DeviceEngine {
     /// A kernel or copy of this stream is executing. In-stream FIFO makes
     /// it the only one, and the queue head cannot start before it ends.
     bool in_flight = false;
+    /// The queue head waits on an incomplete default-stream op (its
+    /// default_dep, or for the default stream's own head the barrier) and
+    /// is off the runnable index until that op completes.
+    bool parked = false;
     RunnableBits* level = nullptr;  ///< this stream's bitset in runnable_
+  };
+
+  /// A lane-stream head parked on its incomplete default_dep.
+  struct ParkedHead {
+    std::uint64_t dep = 0;
+    StreamId stream = kDefaultStream;
   };
 
   enum class EventState : std::uint8_t { kUnknown = 0, kPending, kRecorded };
@@ -411,11 +439,12 @@ class SimDevice final : public DeviceEngine {
   /// admitted a kernel.
   bool start_op(Op& head);
   /// Could the stream's queue head start now, as far as the stream itself
-  /// goes: it exists, its release time has come, and no kernel or copy of
-  /// the stream is executing. Cross-stream conditions (events, the
-  /// default-stream barrier, the concurrency degree) are op_ready's.
+  /// goes: it exists, its release time has come, no kernel or copy of the
+  /// stream is executing, and it is not parked on the default stream.
+  /// Cross-stream conditions (events, the concurrency degree) are
+  /// op_ready's.
   bool runnable(const StreamState& st) const {
-    return !st.queue.empty() && !st.in_flight &&
+    return !st.queue.empty() && !st.in_flight && !st.parked &&
            st.queue.front().release <= now_;
   }
   void set_runnable(StreamId stream, bool on);
@@ -423,10 +452,19 @@ class SimDevice final : public DeviceEngine {
   void end_in_flight(StreamId stream);
   /// Mark the streams whose queue heads the clock has released runnable.
   void wake_released();
+  /// If a released head waits on an incomplete default-stream op (the
+  /// barrier test or its default_dep), park its stream off the runnable
+  /// index and return true.
+  bool park_on_default_stream(StreamId stream, const Op& head);
+  /// Return a parked stream to the runnable index.
+  void unpark(StreamId stream);
+  /// The remaining readiness tests of a released head that is not waiting
+  /// on the default stream (ReferenceEngine::op_ready's other clauses).
   bool op_ready(const Op& op) const;
   void complete_op_bookkeeping(std::uint64_t seq, bool non_blocking);
   /// Repack the resident set and rescale every kernel's lanes and rate
-  /// (ReferenceEngine::recompute_rates); clears rates_stale_.
+  /// (ReferenceEngine::recompute_rates) in one pass over resident_;
+  /// clears rates_stale_.
   void recompute_rates();
   /// Earliest pending event (kernel ETA, copy end, queue-head release);
   /// refreshes stale rates before reading them.
@@ -437,19 +475,19 @@ class SimDevice final : public DeviceEngine {
   void finish_kernel(std::size_t idx);
   bool stream_live(StreamId stream) const {
     return stream >= 0 && static_cast<std::size_t>(stream) < streams_.size() &&
-           streams_[static_cast<std::size_t>(stream)].live;
+           streams_[static_cast<std::size_t>(stream)]->live;
   }
   StreamState& stream_state(StreamId stream) {
-    return streams_[static_cast<std::size_t>(stream)];
+    return *streams_[static_cast<std::size_t>(stream)];
   }
   const StreamState& stream_state(StreamId stream) const {
-    return streams_[static_cast<std::size_t>(stream)];
+    return *streams_[static_cast<std::size_t>(stream)];
   }
 
-  // Deque, not vector: StreamState holds a move-only op queue (no copy
-  // fallback for vector reallocation), and deque growth keeps references
-  // stable across create_stream calls made from host functors.
-  std::deque<StreamState> streams_;    ///< indexed by StreamId
+  // One heap node per stream: StreamState holds a move-only op queue (no
+  // copy fallback for vector reallocation), and a fixed node keeps
+  // references stable across create_stream calls made from host functors.
+  std::vector<std::unique_ptr<StreamState>> streams_;  ///< indexed by StreamId
   /// Runnable-stream index, one bitset per priority, highest priority
   /// first. Walking it by priority desc, then id asc, is the order the
   /// reference loop re-derives by stable_sort every pass. Map nodes are
@@ -466,18 +504,29 @@ class SimDevice final : public DeviceEngine {
   SeqWindow barrier_window_;
   std::vector<EventSlot> events_;      ///< indexed by EventId (slot 0 unused)
 
-  std::vector<ActiveKernel> resident_;
+  std::vector<Resident> resident_;      ///< admission order
+  /// Ops of resident kernels, indexed by Resident::slot; free_slots_
+  /// lists the unused entries, so the slab never outgrows the largest
+  /// resident set.
+  std::vector<KernelSlot> kernel_slab_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<ActiveCopy> copies_;
   SimTime copy_min_end_;               ///< min end_ns over copies_ (+inf if none)
   mutable std::vector<ReleaseEntry> release_heap_;
 
+  /// Lane-stream heads parked on their default_dep, and the smallest
+  /// such dep (0: none). Default-stream ops complete in seq order, so the
+  /// smallest dep is the next one whose completion wakes anything.
+  std::vector<ParkedHead> parked_;
+  std::uint64_t next_wake_dep_ = 0;
+  /// Seq of the default stream's head while it is parked on the barrier
+  /// (0: not parked); it wakes when it is the oldest incomplete blocking
+  /// op.
+  std::uint64_t parked_barrier_ = 0;
+
   /// A kernel completed since the last repack: resident_'s lanes and
   /// rates are the pre-completion ones until recompute_rates runs.
   bool rates_stale_ = false;
-  // Reusable repack scratch (allocation-free steady state).
-  std::vector<ResidencyRequest> reqs_scratch_;
-  std::vector<ResidencySlot> slots_scratch_;
-  std::vector<double> demand_scratch_;
 };
 
 }  // namespace gpusim

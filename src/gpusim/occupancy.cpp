@@ -38,44 +38,15 @@ std::vector<ResidencySlot> pack_residency(const DeviceProps& dev,
 void pack_residency_into(const DeviceProps& dev,
                          const std::vector<ResidencyRequest>& reqs,
                          std::vector<ResidencySlot>& out) {
-  out.assign(reqs.size(), ResidencySlot{});
-
-  // Aggregate per-SM budgets; SMs are homogeneous and the packer assumes
-  // even spreading, so one budget triple models every SM.
-  std::int64_t threads_left = dev.max_threads_per_sm;
-  std::int64_t smem_left = static_cast<std::int64_t>(dev.shared_mem_per_sm);
-  std::int64_t blocks_left = dev.max_blocks_per_sm;
-
+  out.resize(reqs.size());
+  PackBudget budget(dev);
+  double avg_per_sm = 0.0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const ResidencyRequest& r = reqs[i];
-    if (r.blocks_wanted == 0) continue;
-    const std::int64_t threads = static_cast<std::int64_t>(r.config.threads_per_block());
-    const std::int64_t smem = static_cast<std::int64_t>(r.config.smem_per_block());
-
-    // Even spreading: a kernel with fewer blocks than SMs wants at most one
-    // block per SM.
-    const std::int64_t want_per_sm = static_cast<std::int64_t>(
-        (r.blocks_wanted + dev.sm_count - 1) / dev.sm_count);
-
-    std::int64_t fit = std::min<std::int64_t>(want_per_sm, blocks_left);
-    if (threads > 0) fit = std::min(fit, threads_left / threads);
-    if (smem > 0) fit = std::min(fit, smem_left / smem);
-    fit = std::max<std::int64_t>(fit, 0);
-
-    out[i].blocks_per_sm = static_cast<int>(fit);
-    out[i].resident_blocks = std::min<std::uint64_t>(
-        r.blocks_wanted, static_cast<std::uint64_t>(fit) * dev.sm_count);
-
-    // Charge the budget with the *average* per-SM footprint so kernels with
-    // fewer blocks than SMs do not over-reserve capacity they cannot use.
-    const double avg_per_sm =
-        static_cast<double>(out[i].resident_blocks) / dev.sm_count;
-    threads_left -= ceil_nonneg(avg_per_sm * threads);
-    smem_left -= ceil_nonneg(avg_per_sm * smem);
-    blocks_left -= ceil_nonneg(avg_per_sm);
-    threads_left = std::max<std::int64_t>(threads_left, 0);
-    smem_left = std::max<std::int64_t>(smem_left, 0);
-    blocks_left = std::max<std::int64_t>(blocks_left, 0);
+    const LaunchConfig& cfg = reqs[i].config;
+    out[i] = pack_step(dev, budget, reqs[i].blocks_wanted,
+                       static_cast<std::int64_t>(cfg.threads_per_block()),
+                       static_cast<std::int64_t>(cfg.smem_per_block()),
+                       avg_per_sm);
   }
 }
 

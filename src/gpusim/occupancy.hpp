@@ -6,6 +6,7 @@
 // are a *soft* constraint (spilling slows execution but does not limit
 // residency).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,10 +44,68 @@ int max_blocks_per_sm_single(const DeviceProps& dev, const LaunchConfig& cfg);
 /// active warps per SM / max warps per SM.
 double single_kernel_occupancy(const DeviceProps& dev, const LaunchConfig& cfg);
 
+/// Per-SM budget the greedy packer charges as it places requests. SMs are
+/// homogeneous and blocks spread evenly, so one budget triple models
+/// every SM.
+struct PackBudget {
+  std::int64_t threads_left = 0;
+  std::int64_t smem_left = 0;
+  std::int64_t blocks_left = 0;
+
+  explicit PackBudget(const DeviceProps& dev)
+      : threads_left(dev.max_threads_per_sm),
+        smem_left(static_cast<std::int64_t>(dev.shared_mem_per_sm)),
+        blocks_left(dev.max_blocks_per_sm) {}
+
+  /// No request with at least one thread per block can place a block:
+  /// every later pack_step yields an empty slot and leaves the budget as
+  /// it is.
+  bool exhausted() const { return threads_left == 0 || blocks_left == 0; }
+};
+
+/// One request's step of the greedy packer: place as many blocks per SM
+/// as `blocks_wanted` (spread evenly) and the remaining budget allow,
+/// charge the budget with the placement's average per-SM footprint, and
+/// return the slot. `avg_per_sm` receives that footprint in blocks
+/// (resident_blocks / sm_count), the figure register_pressure weighs.
+inline ResidencySlot pack_step(const DeviceProps& dev, PackBudget& budget,
+                               std::uint64_t blocks_wanted,
+                               std::int64_t threads, std::int64_t smem,
+                               double& avg_per_sm) {
+  ResidencySlot out;
+  avg_per_sm = 0.0;
+  if (blocks_wanted == 0) return out;
+
+  // Even spreading: a kernel with fewer blocks than SMs wants at most one
+  // block per SM.
+  const std::int64_t want_per_sm = static_cast<std::int64_t>(
+      (blocks_wanted + dev.sm_count - 1) / dev.sm_count);
+
+  std::int64_t fit = std::min<std::int64_t>(want_per_sm, budget.blocks_left);
+  if (threads > 0) fit = std::min(fit, budget.threads_left / threads);
+  if (smem > 0) fit = std::min(fit, budget.smem_left / smem);
+  fit = std::max<std::int64_t>(fit, 0);
+
+  out.blocks_per_sm = static_cast<int>(fit);
+  out.resident_blocks = std::min<std::uint64_t>(
+      blocks_wanted, static_cast<std::uint64_t>(fit) * dev.sm_count);
+
+  // Charge the budget with the *average* per-SM footprint so kernels with
+  // fewer blocks than SMs do not over-reserve capacity they cannot use.
+  avg_per_sm = static_cast<double>(out.resident_blocks) / dev.sm_count;
+  budget.threads_left -= ceil_nonneg(avg_per_sm * static_cast<double>(threads));
+  budget.smem_left -= ceil_nonneg(avg_per_sm * static_cast<double>(smem));
+  budget.blocks_left -= ceil_nonneg(avg_per_sm);
+  budget.threads_left = std::max<std::int64_t>(budget.threads_left, 0);
+  budget.smem_left = std::max<std::int64_t>(budget.smem_left, 0);
+  budget.blocks_left = std::max<std::int64_t>(budget.blocks_left, 0);
+  return out;
+}
+
 /// Greedy multi-kernel packer. Requests are served in order (admission
 /// order in the engine; the fairness policy lives in the caller). Each
 /// request receives as many blocks per SM as both its demand and the
-/// remaining per-SM thread/smem/block budgets allow.
+/// remaining per-SM thread/smem/block budgets allow (one pack_step each).
 ///
 /// Mirrors the paper's assumption that "thread blocks are assigned evenly
 /// among all SMs" and that "blocks from different kernels can be placed on

@@ -1,7 +1,9 @@
 #pragma once
 // RAII device-memory buffer over scuda::Context. Memory is *not*
-// initialised on allocation (like cudaMalloc), so timing-only runs never
-// touch the pages; numeric code zero-fills explicitly where required.
+// initialised on allocation (like cudaMalloc), and timing-only runs issue
+// their copies without a functor (the data and input layers included), so
+// they never touch the pages; numeric code zero-fills explicitly where
+// required.
 
 #include <cstddef>
 #include <utility>

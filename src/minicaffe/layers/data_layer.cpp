@@ -20,9 +20,6 @@ void DataLayer::setup(const std::vector<Blob*>& bottom,
   } else {
     top[1]->reshape({p.batch_size});
   }
-  staging_images_.resize(top[0]->count());
-  if (p.pair_data) staging_images_p_.resize(top[0]->count());
-  staging_labels_.resize(static_cast<std::size_t>(p.batch_size));
 }
 
 void DataLayer::forward(const std::vector<Blob*>& bottom,
@@ -30,56 +27,64 @@ void DataLayer::forward(const std::vector<Blob*>& bottom,
   (void)bottom;
   const LayerParams& p = spec_.params;
   const int batch = p.batch_size;
-
-  if (ec_->numeric()) {
-    if (!p.pair_data) {
-      dataset_->fill_batch(cursor_, batch, staging_images_.data(),
-                           staging_labels_.data());
-    } else {
-      // Pairs: first element sequential; second element same class
-      // (similar, ~50%) or any index (checked for dissimilarity).
-      const std::uint64_t size =
-          static_cast<std::uint64_t>(p.dataset.train_size);
-      for (int n = 0; n < batch; ++n) {
-        const std::uint64_t a = (cursor_ + static_cast<std::uint64_t>(n)) % size;
-        dataset_->fill_sample(
-            a, staging_images_.data() + static_cast<std::size_t>(n) *
-                                            p.dataset.sample_size());
-        const bool want_similar = ec_->rng.next_double() < 0.5;
-        std::uint64_t b = ec_->rng.next_below(size);
-        for (int tries = 0; tries < 64; ++tries) {
-          const bool similar = dataset_->label_of(b) == dataset_->label_of(a);
-          if (similar == want_similar) break;
-          b = ec_->rng.next_below(size);
-        }
-        dataset_->fill_sample(
-            b, staging_images_p_.data() + static_cast<std::size_t>(n) *
-                                              p.dataset.sample_size());
-        staging_labels_[static_cast<std::size_t>(n)] =
-            dataset_->label_of(b) == dataset_->label_of(a) ? 1.0f : 0.0f;
-      }
-    }
-  }
+  const std::uint64_t first = cursor_;
   cursor_ += shard_stride_ != 0 ? shard_stride_
                                 : static_cast<std::uint64_t>(batch);
 
   // Upload through the simulated copy engine on the context's home
   // stream (the default stream outside serving).
   scuda::Context& ctx = *ec_->ctx;
-  ctx.memcpy_async(top[0]->mutable_data(), staging_images_.data(),
-                   top[0]->count() * sizeof(float), /*h2d=*/true,
-                   ec_->home_stream);
+  const std::size_t image_bytes = top[0]->count() * sizeof(float);
+  const std::size_t label_bytes = static_cast<std::size_t>(batch) * sizeof(float);
+  if (!ec_->numeric()) {
+    // Timing-only: the same copies, with no bytes behind them to move.
+    gpusim::DeviceEngine& dev = ctx.device();
+    dev.memcpy_async(ec_->home_stream, image_bytes, /*host_to_device=*/true);
+    if (p.pair_data) dev.memcpy_async(ec_->home_stream, image_bytes, true);
+    dev.memcpy_async(ec_->home_stream, label_bytes, true);
+    return;
+  }
+
+  staging_images_.resize(top[0]->count());
+  if (p.pair_data) staging_images_p_.resize(top[0]->count());
+  staging_labels_.resize(static_cast<std::size_t>(batch));
+  if (!p.pair_data) {
+    dataset_->fill_batch(first, batch, staging_images_.data(),
+                         staging_labels_.data());
+  } else {
+    // Pairs: first element sequential; second element same class
+    // (similar, ~50%) or any index (checked for dissimilarity).
+    const std::uint64_t size = static_cast<std::uint64_t>(p.dataset.train_size);
+    for (int n = 0; n < batch; ++n) {
+      const std::uint64_t a = (first + static_cast<std::uint64_t>(n)) % size;
+      dataset_->fill_sample(
+          a, staging_images_.data() + static_cast<std::size_t>(n) *
+                                          p.dataset.sample_size());
+      const bool want_similar = ec_->rng.next_double() < 0.5;
+      std::uint64_t b = ec_->rng.next_below(size);
+      for (int tries = 0; tries < 64; ++tries) {
+        const bool similar = dataset_->label_of(b) == dataset_->label_of(a);
+        if (similar == want_similar) break;
+        b = ec_->rng.next_below(size);
+      }
+      dataset_->fill_sample(
+          b, staging_images_p_.data() + static_cast<std::size_t>(n) *
+                                            p.dataset.sample_size());
+      staging_labels_[static_cast<std::size_t>(n)] =
+          dataset_->label_of(b) == dataset_->label_of(a) ? 1.0f : 0.0f;
+    }
+  }
+
+  ctx.memcpy_async(top[0]->mutable_data(), staging_images_.data(), image_bytes,
+                   /*h2d=*/true, ec_->home_stream);
   if (p.pair_data) {
     ctx.memcpy_async(top[1]->mutable_data(), staging_images_p_.data(),
-                     top[1]->count() * sizeof(float), true,
-                     ec_->home_stream);
+                     image_bytes, true, ec_->home_stream);
     ctx.memcpy_async(top[2]->mutable_data(), staging_labels_.data(),
-                     staging_labels_.size() * sizeof(float), true,
-                     ec_->home_stream);
+                     label_bytes, true, ec_->home_stream);
   } else {
     ctx.memcpy_async(top[1]->mutable_data(), staging_labels_.data(),
-                     staging_labels_.size() * sizeof(float), true,
-                     ec_->home_stream);
+                     label_bytes, true, ec_->home_stream);
   }
 }
 

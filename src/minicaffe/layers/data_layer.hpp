@@ -1,7 +1,10 @@
 #pragma once
 // Synthetic data layer. Generates a deterministic batch on the host and
 // uploads it with simulated H2D copies (so iteration timelines include
-// the input transfer, as a real Caffe data layer's prefetch would).
+// the input transfer, as a real Caffe data layer's prefetch would). In
+// timing-only mode it issues the same copies (bytes, stream, simulated
+// span) with nothing behind them: no batch is generated, no staging is
+// held and no byte moves.
 //
 // Regular mode tops: (data [N,C,H,W], label [N]).
 // Pair mode (Siamese): (data, data_p, similarity [N]) where ~50% of the
@@ -24,6 +27,12 @@ class DataLayer final : public Layer {
   bool has_backward() const override { return false; }
 
   std::uint64_t cursor() const { return cursor_; }
+  /// Host staging bytes held (zero until the first numeric forward).
+  std::size_t staging_bytes() const {
+    return (staging_images_.capacity() + staging_images_p_.capacity() +
+            staging_labels_.capacity()) *
+           sizeof(float);
+  }
   const SyntheticDataset& dataset() const { return *dataset_; }
 
   /// Data-parallel sharding: this replica reads batches starting at
@@ -41,7 +50,8 @@ class DataLayer final : public Layer {
   std::unique_ptr<SyntheticDataset> dataset_;
   std::uint64_t cursor_ = 0;
   std::uint64_t shard_stride_ = 0;  ///< 0: unsharded (advance by batch)
-  // Host staging buffers; uploaded asynchronously each forward.
+  // Host staging buffers, sized on the first numeric forward and uploaded
+  // asynchronously each numeric forward.
   std::vector<float> staging_images_;
   std::vector<float> staging_images_p_;
   std::vector<float> staging_labels_;

@@ -317,6 +317,82 @@ TEST(EngineEquivalence, LazyRatesAtCoincidentCompletions) {
   });
 }
 
+// --- parked heads --------------------------------------------------------------
+//
+// A lane-stream head whose default_dep is incomplete, and the default
+// stream's own head while older blocking work runs (the barrier), leave
+// the optimized engine's runnable index until that op completes, and the
+// completion puts them back. Each scope forks lanes off a default-stream
+// gate through an event, as a steady GLP4NN scope does, queues a
+// default-stream join behind the lanes' work (it parks on the barrier),
+// and queues more lane work behind the join (it parks on its
+// default_dep). Host functors create streams and queue work on them
+// while heads are parked, and those streams are destroyed while the next
+// scope's heads wait. A wake-up that came late or never would move a
+// start time or stall the program.
+TEST(EngineEquivalence, ParkedHeadsWakeOnDefaultStreamOps) {
+  expect_program_equivalent([](gpusim::DeviceEngine& dev) {
+    std::uint64_t state = 0xbb67ae8584caa73bull;
+    const auto rnd = [&state](std::uint64_t bound) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state % bound;
+    };
+    gpusim::DeviceEngine* d = &dev;
+    std::vector<gpusim::StreamId> made;  // created by functors
+    const auto make_stream = [d, &made] {
+      const gpusim::StreamId fresh =
+          d->create_stream(static_cast<int>(made.size() % 3) - 1);
+      made.push_back(fresh);
+      d->launch_kernel(fresh, "made", cfg(12, 128), cost(4e5), {});
+      d->memcpy_async(fresh, 1 << 13, false, {});
+    };
+    std::vector<gpusim::StreamId> lanes;
+    for (int s = 0; s < 6; ++s) {
+      lanes.push_back(dev.create_stream(static_cast<int>(rnd(2))));
+    }
+    for (int scope = 0; scope < 120; ++scope) {
+      dev.launch_kernel(gpusim::kDefaultStream, "gate", cfg(8 + rnd(56), 128),
+                        cost(1e6 + 1e5 * rnd(20)), {});
+      const gpusim::EventId fork = dev.record_event(gpusim::kDefaultStream);
+      const std::uint64_t width = 1 + rnd(lanes.size());
+      for (std::uint64_t i = 0; i < width; ++i) {
+        if (rnd(2) == 0) dev.wait_event(lanes[i], fork);
+        gpusim::InlineFn work;
+        if (rnd(4) == 0) work = make_stream;
+        dev.launch_kernel(lanes[i], "lane", cfg(4 + rnd(60), 32u * (1 + rnd(8))),
+                          cost(5e5 + 1e5 * rnd(30)), std::move(work));
+      }
+      switch (rnd(3)) {
+        case 0:
+          dev.memcpy_async(gpusim::kDefaultStream, 4096 + rnd(1 << 14), false, {});
+          break;
+        case 1:
+          dev.host_callback(gpusim::kDefaultStream, make_stream);
+          break;
+        default:
+          dev.launch_kernel(gpusim::kDefaultStream, "join", cfg(16, 256),
+                            cost(3e5), {});
+          break;
+      }
+      for (std::uint64_t i = 0; i < width; ++i) {
+        if (rnd(2) == 0) {
+          dev.launch_kernel(lanes[i], "tail", cfg(8 + rnd(24), 128),
+                            cost(2e5 + 1e5 * rnd(10)), {});
+        }
+      }
+      if (scope % 10 == 9) {
+        for (const gpusim::StreamId s : made) dev.destroy_stream(s);
+        made.clear();
+      }
+    }
+    // The functors capture `made`: run them all before it goes away.
+    dev.synchronize();
+    for (const gpusim::StreamId s : made) dev.destroy_stream(s);
+  });
+}
+
 // --- runnable-stream index ---------------------------------------------------
 //
 // Same-direction copies share one copy engine, which serves them in the

@@ -7,6 +7,8 @@
 #include "kernels/cpu_math.hpp"
 #include "minicaffe/layer.hpp"
 #include "minicaffe/layers/activation_layers.hpp"
+#include "minicaffe/layers/data_layer.hpp"
+#include "minicaffe/layers/input_layer.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -715,6 +717,103 @@ TEST_F(LayerTest, RegistryContainsAllPaperLayers) {
         "EuclideanLoss", "ContrastiveLoss"}) {
     EXPECT_TRUE(set.count(t)) << t;
   }
+}
+
+// --- Data / Input: timing-only uploads -----------------------------------------
+//
+// Timing-only forwards issue the numeric forward's copies (bytes, stream,
+// simulated span) with no staging behind them. Each mode runs on a fresh
+// device, so equal records mean the copies are the same ops.
+
+std::vector<gpusim::CopyRecord> upload_records(kern::ComputeMode mode,
+                                               const LayerSpec& spec,
+                                               std::size_t tops,
+                                               std::size_t* staging_bytes) {
+  Env env(gpusim::DeviceTable::p100(), mode);
+  env.ctx.device().timeline().set_enabled(true);
+  const gpusim::StreamId home = env.ctx.device().create_stream();
+  env.ec.home_stream = home;
+  auto layer = mc::create_layer(spec, env.ec);
+  std::vector<std::unique_ptr<Blob>> blobs;
+  std::vector<Blob*> top;
+  for (std::size_t i = 0; i < tops; ++i) {
+    blobs.push_back(std::make_unique<Blob>(env.ctx));
+    top.push_back(blobs.back().get());
+  }
+  layer->setup({}, top);
+  for (int iter = 0; iter < 3; ++iter) {
+    if (auto* in = dynamic_cast<mc::InputLayer*>(layer.get());
+        in != nullptr && mode == kern::ComputeMode::kNumeric) {
+      std::fill_n(in->staging(), in->batch() * in->sample_size(), 0.5f);
+    }
+    layer->forward({}, top);
+  }
+  env.sync();
+  if (auto* data = dynamic_cast<mc::DataLayer*>(layer.get())) {
+    *staging_bytes = data->staging_bytes();
+  } else {
+    *staging_bytes = dynamic_cast<mc::InputLayer*>(layer.get())->staging_count() *
+                     sizeof(float);
+  }
+  for (const gpusim::CopyRecord& rec : env.ctx.device().timeline().copies()) {
+    EXPECT_EQ(rec.stream, home);
+  }
+  return env.ctx.device().timeline().copies();
+}
+
+void expect_same_uploads(const LayerSpec& spec, std::size_t tops,
+                         std::size_t copies_per_forward,
+                         std::size_t numeric_staging_bytes) {
+  std::size_t timing_staging = 0, numeric_staging = 0;
+  const auto timing =
+      upload_records(kern::ComputeMode::kTimingOnly, spec, tops, &timing_staging);
+  const auto numeric =
+      upload_records(kern::ComputeMode::kNumeric, spec, tops, &numeric_staging);
+  EXPECT_EQ(timing_staging, 0u);
+  EXPECT_EQ(numeric_staging, numeric_staging_bytes);
+  ASSERT_EQ(timing.size(), 3 * copies_per_forward);
+  ASSERT_EQ(numeric.size(), timing.size());
+  for (std::size_t i = 0; i < timing.size(); ++i) {
+    EXPECT_EQ(timing[i].bytes, numeric[i].bytes) << "copy " << i;
+    EXPECT_EQ(timing[i].stream, numeric[i].stream) << "copy " << i;
+    EXPECT_TRUE(timing[i].host_to_device) << "copy " << i;
+    EXPECT_EQ(timing[i].start_ns, numeric[i].start_ns) << "copy " << i;
+    EXPECT_EQ(timing[i].end_ns, numeric[i].end_ns) << "copy " << i;
+  }
+}
+
+LayerSpec data_spec(bool pair) {
+  LayerSpec s;
+  s.type = "Data";
+  s.name = "data";
+  s.tops = pair ? std::vector<std::string>{"data", "data_p", "sim"}
+                : std::vector<std::string>{"data", "label"};
+  s.params.batch_size = 8;
+  s.params.pair_data = pair;
+  s.params.dataset = pair ? mc::DatasetSpec::mnist() : mc::DatasetSpec::cifar10();
+  return s;
+}
+
+TEST(TimingOnlyUploads, DataLayerHoldsNoStagingAndIssuesTheSameCopies) {
+  const LayerSpec plain = data_spec(false);
+  const std::size_t images = 8 * plain.params.dataset.sample_size();
+  expect_same_uploads(plain, 2, 2, (images + 8) * sizeof(float));
+}
+
+TEST(TimingOnlyUploads, PairDataLayerHoldsNoStagingAndIssuesTheSameCopies) {
+  const LayerSpec pair = data_spec(true);
+  const std::size_t images = 8 * pair.params.dataset.sample_size();
+  expect_same_uploads(pair, 3, 3, (2 * images + 8) * sizeof(float));
+}
+
+TEST(TimingOnlyUploads, InputLayerHoldsNoStagingAndIssuesTheSameCopy) {
+  LayerSpec s;
+  s.type = "Input";
+  s.name = "input";
+  s.tops = {"data"};
+  s.params.batch_size = 4;
+  s.params.dataset = mc::DatasetSpec::cifar10();
+  expect_same_uploads(s, 1, 1, 4 * s.params.dataset.sample_size() * sizeof(float));
 }
 
 }  // namespace

@@ -203,13 +203,19 @@ TEST(PackResidency, IntegerCeilingsMatchStdCeilBitForBit) {
   glp::Rng rng(seed);
   const auto devices = DeviceTable::all();
   std::size_t small_grids = 0, exhausted = 0, single_block = 0, no_smem = 0;
+  std::size_t huge_wants = 0, stopped_early = 0;
   for (int set = 0; set < 100000; ++set) {
     const DeviceProps& d = devices[rng.next_below(devices.size())];
     std::vector<ResidencyRequest> reqs(1 + rng.next_below(12));
+    // Power-of-two blocks divide the thread budget, so it can reach
+    // exactly zero with requests still to pack.
+    const bool pow2_blocks = rng.next_below(4) == 0;
     for (ResidencyRequest& r : reqs) {
       // Odd block sizes and shared-memory footprints make the per-SM
       // averages fractional, where the two ceilings could part.
-      const auto threads = static_cast<unsigned>(1 + rng.next_below(1024));
+      const auto threads =
+          pow2_blocks ? 32u << rng.next_below(6)
+                      : static_cast<unsigned>(1 + rng.next_below(1024));
       const unsigned grid =
           rng.next_below(3) == 0
               ? static_cast<unsigned>(1 + rng.next_below(d.sm_count))
@@ -217,14 +223,18 @@ TEST(PackResidency, IntegerCeilingsMatchStdCeilBitForBit) {
       const std::size_t smem =
           rng.next_below(2) == 0 ? 0 : 1 + rng.next_below(d.shared_mem_per_sm / 4);
       r.config = cfg(grid, threads, smem, 8 + static_cast<int>(rng.next_below(248)));
-      switch (rng.next_below(4)) {
+      switch (rng.next_below(5)) {
         case 0: r.blocks_wanted = 1; break;
         case 1: r.blocks_wanted = grid; break;
+        // Far past any grid this corpus draws: the per-SM want must not
+        // wrap in 32 bits.
+        case 2: r.blocks_wanted = (std::uint64_t{1} << 31) + rng.next_below(std::uint64_t{1} << 40); break;
         default: r.blocks_wanted = rng.next_below(std::uint64_t{grid} + 1); break;
       }
       small_grids += grid < static_cast<unsigned>(d.sm_count);
       single_block += r.blocks_wanted == 1;
       no_smem += smem == 0;
+      huge_wants += r.blocks_wanted >= (std::uint64_t{1} << 31);
     }
     const std::vector<ResidencySlot> want = ceil_pack(d, reqs);
     const std::vector<ResidencySlot> got = pack_residency(d, reqs);
@@ -243,12 +253,32 @@ TEST(PackResidency, IntegerCeilingsMatchStdCeilBitForBit) {
     ASSERT_TRUE(same_bits(gpusim::register_pressure(d, reqs, got),
                           ceil_register_pressure(d, reqs, want)))
         << "set " << set;
+    // SimDevice's fused repack stops stepping once the budget is
+    // exhausted: the packer as first written must give every request
+    // past that point nothing.
+    gpusim::PackBudget budget(d);
+    double avg_per_sm = 0.0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (budget.exhausted()) {
+        ++stopped_early;
+        for (std::size_t j = i; j < reqs.size(); ++j) {
+          ASSERT_EQ(want[j].resident_blocks, 0u) << "set " << set << " kernel " << j;
+        }
+        break;
+      }
+      const LaunchConfig& c = reqs[i].config;
+      gpusim::pack_step(d, budget, reqs[i].blocks_wanted,
+                        static_cast<std::int64_t>(c.threads_per_block()),
+                        static_cast<std::int64_t>(c.smem_per_block()), avg_per_sm);
+    }
   }
   // The corpus reaches every regime the ceilings touch.
   EXPECT_GT(small_grids, 10000u);
   EXPECT_GT(exhausted, 10000u);
   EXPECT_GT(single_block, 10000u);
   EXPECT_GT(no_smem, 10000u);
+  EXPECT_GT(huge_wants, 10000u);
+  EXPECT_GT(stopped_early, 10000u);
 }
 
 // --- register soft constraint ---------------------------------------------------
