@@ -51,6 +51,12 @@ ConcurrencyDecision AnalyticalModel::analyze(
   milp::Problem problem;
   problem.set_maximize(true);
 
+  // ΣT_K for the §6 weights; it stays 0 under Eq. 3, so every weight is 1.
+  double total_duration = 0.0;
+  if (objective_ == Objective::kDurationWeighted) {
+    for (const KernelStats& k : kernels) total_duration += k.avg_duration_us;
+  }
+
   std::vector<int> betas;
   std::vector<int> bounds;
   betas.reserve(kernels.size());
@@ -70,8 +76,14 @@ ConcurrencyDecision AnalyticalModel::analyze(
     const double tau = static_cast<double>(k.config.threads_per_block());
     const double smem = static_cast<double>(k.config.smem_per_block());
     // Objective (Eq. 3): τ_total = Σ τ_K·β_K·#K — maximise active threads.
+    // The §6 variant weights each term by the kernel's share of the
+    // scope's time, T_K / ΣT_K.
+    const double weight = total_duration > 0.0
+                              ? k.avg_duration_us / total_duration
+                              : 1.0;
     const int var = problem.add_variable(0.0, static_cast<double>(ub),
-                                         tau * beta, /*integer=*/true, k.name);
+                                         weight * tau * beta,
+                                         /*integer=*/true, k.name);
     thread_terms.emplace_back(var, tau * beta);
     if (smem > 0.0) smem_terms.emplace_back(var, smem * beta);
     degree_terms.emplace_back(var, 1.0);
@@ -117,6 +129,7 @@ ConcurrencyDecision AnalyticalModel::analyze(
   decision.objective = solution.objective;
 
   int total = 0;
+  double threads = 0.0;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     KernelConcurrency kc;
     kc.name = kernels[i].name;
@@ -124,88 +137,19 @@ ConcurrencyDecision AnalyticalModel::analyze(
     kc.upper_bound = bounds[i];
     kc.beta_per_sm = betas[i];
     total += kc.count;
+    threads += thread_terms[i].second * kc.count;
     decision.per_kernel.push_back(std::move(kc));
   }
   // Eq. 9: the stream pool size is the total concurrent kernel count.
   decision.stream_count =
       std::clamp(total, 1, props_.max_concurrent_kernels);
 
-  // Eq. 1–2: occupancy implied by the objective.
-  const double active_warps = decision.objective / props_.warp_size;
+  // Eqs. 1–2: occupancy of the solved thread total Σ τ_K·β_K·#K, which
+  // under Eq. 3 is the objective itself.
+  const double active_warps = threads / props_.warp_size;
   decision.occupancy =
       std::min(1.0, active_warps / static_cast<double>(props_.max_warps_per_sm()));
 
-  decision.analysis_ms = timer.elapsed_ms();
-  return decision;
-}
-
-ConcurrencyDecision analyze_duration_weighted(
-    const gpusim::DeviceProps& props, const std::string& scope,
-    const std::vector<KernelStats>& kernels) {
-  GLP_REQUIRE(!kernels.empty(), "cannot analyze an empty kernel set");
-  glp::WallTimer timer;
-  const AnalyticalModel base(props);
-
-  milp::Problem problem;
-  problem.set_maximize(true);
-
-  double total_duration = 0.0;
-  for (const KernelStats& k : kernels) total_duration += k.avg_duration_us;
-
-  std::vector<int> betas, bounds;
-  std::vector<std::pair<int, double>> smem_terms, thread_terms, degree_terms;
-  for (const KernelStats& k : kernels) {
-    const int beta = base.beta_per_sm(k);
-    const int ub = base.upper_bound(k);
-    betas.push_back(beta);
-    bounds.push_back(ub);
-    const double tau = static_cast<double>(k.config.threads_per_block());
-    const double smem = static_cast<double>(k.config.smem_per_block());
-    // Duration weight in [0, 1]: a kernel's share of the scope's time.
-    const double weight =
-        total_duration > 0.0 ? k.avg_duration_us / total_duration : 1.0;
-    const int var = problem.add_variable(0.0, static_cast<double>(ub),
-                                         weight * tau * beta, true, k.name);
-    thread_terms.emplace_back(var, tau * beta);
-    if (smem > 0.0) smem_terms.emplace_back(var, smem * beta);
-    degree_terms.emplace_back(var, 1.0);
-  }
-  problem.add_constraint(thread_terms, 0.0,
-                         static_cast<double>(props.max_threads_per_sm));
-  if (!smem_terms.empty()) {
-    problem.add_constraint(smem_terms, 0.0,
-                           static_cast<double>(props.shared_mem_per_sm));
-  }
-  problem.add_constraint(degree_terms, 1.0,
-                         static_cast<double>(props.max_concurrent_kernels));
-
-  const milp::BranchAndBoundSolver solver;
-  const milp::Solution solution = solver.solve(problem);
-
-  ConcurrencyDecision decision;
-  decision.scope = scope;
-  decision.milp_nodes = solver.last_node_count();
-  if (solution.status != milp::SolveStatus::kOptimal) {
-    decision.stream_count = 1;
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      decision.per_kernel.push_back(
-          KernelConcurrency{kernels[i].name, 1, bounds[i], betas[i]});
-    }
-    decision.analysis_ms = timer.elapsed_ms();
-    return decision;
-  }
-  decision.objective = solution.objective;
-  int total = 0;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    KernelConcurrency kc;
-    kc.name = kernels[i].name;
-    kc.count = static_cast<int>(std::lround(solution.values[i]));
-    kc.upper_bound = bounds[i];
-    kc.beta_per_sm = betas[i];
-    total += kc.count;
-    decision.per_kernel.push_back(std::move(kc));
-  }
-  decision.stream_count = std::clamp(total, 1, props.max_concurrent_kernels);
   decision.analysis_ms = timer.elapsed_ms();
   return decision;
 }

@@ -7,16 +7,29 @@
 // upper bounds from Eq. 7. Registers are a soft constraint and excluded,
 // exactly as in the paper. The resulting bounded integer program is
 // solved with the in-repo branch-and-bound MILP solver (the paper used
-// GLPK).
+// GLPK). The objective is a construction parameter (see Objective).
 
 #include "core/types.hpp"
 #include "gpusim/device_props.hpp"
 
 namespace glp4nn {
 
+/// What the model maximises over the same constraints (Eqs. 4–7).
+enum class Objective {
+  /// Eq. 3: τ_total = Σ τ_K·β_K·#K, the active threads per SM.
+  kThreads,
+  /// Paper §6 ("improve the analytical model"): each kernel's τ_K·β_K
+  /// scaled by T_K / ΣT_K, its share of the scope's time — long kernels
+  /// dominate a scope's makespan, so their overlap matters more than
+  /// that of sub-launch-gap kernels.
+  kDurationWeighted,
+};
+
 class AnalyticalModel {
  public:
-  explicit AnalyticalModel(gpusim::DeviceProps props) : props_(std::move(props)) {}
+  explicit AnalyticalModel(gpusim::DeviceProps props,
+                           Objective objective = Objective::kThreads)
+      : props_(std::move(props)), objective_(objective) {}
 
   const gpusim::DeviceProps& props() const { return props_; }
 
@@ -35,17 +48,7 @@ class AnalyticalModel {
 
  private:
   gpusim::DeviceProps props_;
+  Objective objective_;
 };
-
-/// Alternative model (paper §6 future work: "improve the performance of
-/// the analytical model"): identical constraints, but the objective
-/// weights each kernel's occupancy contribution by its measured duration
-/// T_K — long kernels dominate a scope's makespan, so their overlap
-/// matters more than that of sub-launch-gap kernels. Plug into a
-/// KernelAnalyzer via set_model. Compared against the paper's objective
-/// in bench_ablation_model.
-ConcurrencyDecision analyze_duration_weighted(
-    const gpusim::DeviceProps& props, const std::string& scope,
-    const std::vector<KernelStats>& kernels);
 
 }  // namespace glp4nn

@@ -6,7 +6,8 @@ RuntimeScheduler& Glp4nnEngine::scheduler_for(scuda::Context& ctx) {
   auto it = devices_.find(&ctx);
   if (it == devices_.end()) {
     PerDevice d;
-    d.analyzer = std::make_unique<KernelAnalyzer>(ctx.props());
+    d.analyzer =
+        std::make_unique<KernelAnalyzer>(ctx.props(), options_.objective);
     d.scheduler = std::make_unique<RuntimeScheduler>(ctx, tracker_, *d.analyzer,
                                                      streams_, options_);
     it = devices_.emplace(&ctx, std::move(d)).first;

@@ -67,31 +67,25 @@ const ConcurrencyDecision& KernelAnalyzer::decide(const ScopeProfile& profile) {
   if (it != decisions_.end()) return it->second;
 
   ConcurrencyDecision decision;
-  if (custom_model_) {
-    decision = custom_model_(model_.props(), profile.scope, profile.kernels);
+  std::vector<std::uint64_t> key = solve_signature(profile);
+  auto memo = solve_memo_.find(key);
+  if (memo != solve_memo_.end()) {
+    // Relabel the memoized solve for this scope: the numeric inputs
+    // are identical, so the decision is too. No analysis ran, so no
+    // analysis time (and no B&B nodes) is charged.
+    decision = memo->second;
+    decision.scope = profile.scope;
+    GLP_CHECK(decision.per_kernel.size() == profile.kernels.size());
+    for (std::size_t i = 0; i < decision.per_kernel.size(); ++i) {
+      decision.per_kernel[i].name = profile.kernels[i].name;
+    }
+    decision.analysis_ms = 0.0;
+    ++solve_cache_hits_;
+  } else {
+    decision = model_.analyze(profile.scope, profile.kernels);
     ++solver_calls_;
     total_milp_nodes_ += static_cast<std::size_t>(decision.milp_nodes);
-  } else {
-    std::vector<std::uint64_t> key = solve_signature(profile);
-    auto memo = solve_memo_.find(key);
-    if (memo != solve_memo_.end()) {
-      // Relabel the memoized solve for this scope: the numeric inputs
-      // are identical, so the decision is too. No analysis ran, so no
-      // analysis time (and no B&B nodes) is charged.
-      decision = memo->second;
-      decision.scope = profile.scope;
-      GLP_CHECK(decision.per_kernel.size() == profile.kernels.size());
-      for (std::size_t i = 0; i < decision.per_kernel.size(); ++i) {
-        decision.per_kernel[i].name = profile.kernels[i].name;
-      }
-      decision.analysis_ms = 0.0;
-      ++solve_cache_hits_;
-    } else {
-      decision = model_.analyze(profile.scope, profile.kernels);
-      ++solver_calls_;
-      total_milp_nodes_ += static_cast<std::size_t>(decision.milp_nodes);
-      solve_memo_.emplace(std::move(key), decision);
-    }
+    solve_memo_.emplace(std::move(key), decision);
   }
   total_analysis_ms_ += decision.analysis_ms;
   auto [inserted, ok] = decisions_.emplace(profile.scope, std::move(decision));
@@ -101,7 +95,6 @@ const ConcurrencyDecision& KernelAnalyzer::decide(const ScopeProfile& profile) {
 
 std::vector<const ConcurrencyDecision*> KernelAnalyzer::decide_joint(
     const std::vector<const ScopeProfile*>& group) {
-  if (custom_model_) return {};  // custom models solve per scope only
   GLP_REQUIRE(!group.empty(), "cannot jointly analyze an empty group");
   if (group.size() == 1) return {&decide(*group[0])};
   for (const ScopeProfile* p : group) {

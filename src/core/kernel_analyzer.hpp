@@ -1,8 +1,9 @@
 #pragma once
 // Kernel analyzer module (Fig. 5): the *concurrency analyzer* runs the
-// analytical model (customisable via set_model, as the paper's module
-// description allows), and the *concurrency maintainer* caches decisions
-// per scope so each layer is analysed exactly once per device.
+// analytical model under the objective it was built with (Eq. 3 or the
+// §6 duration weighting; one analyzer keeps one for life), and the
+// *concurrency maintainer* caches decisions per scope so each layer is
+// analysed exactly once per device.
 //
 // On top of the per-scope decision cache, solves are memoized across
 // scopes: two scopes whose kernel-stat signatures match (same per-kernel
@@ -12,7 +13,6 @@
 // towers, stacked blocks) hit this constantly.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -23,11 +23,9 @@ namespace glp4nn {
 
 class KernelAnalyzer {
  public:
-  using ModelFn = std::function<ConcurrencyDecision(
-      const gpusim::DeviceProps&, const std::string&,
-      const std::vector<KernelStats>&)>;
-
-  explicit KernelAnalyzer(gpusim::DeviceProps props) : model_(std::move(props)) {}
+  explicit KernelAnalyzer(gpusim::DeviceProps props,
+                          Objective objective = Objective::kThreads)
+      : model_(std::move(props), objective) {}
 
   /// Analyze (or fetch the cached decision for) a profiled scope.
   const ConcurrencyDecision& decide(const ScopeProfile& profile);
@@ -43,18 +41,13 @@ class KernelAnalyzer {
   /// up). Joint solves are memoized by the concatenation of the members'
   /// solve signatures. Requires ≥ 1 member; with exactly one member this
   /// degenerates to decide(). Returns the per-member joint decisions in
-  /// input order. No-op returning nullptr-equivalent (empty vector) when
-  /// a custom model is installed — custom models may be scope-sensitive
-  /// in ways a union solve cannot capture.
+  /// input order.
   std::vector<const ConcurrencyDecision*> decide_joint(
       const std::vector<const ScopeProfile*>& group);
 
   /// Joint concurrent-set solves actually run (fresh or memoized).
   std::size_t joint_solves() const { return joint_solves_; }
 
-  bool has_decision(const std::string& scope) const {
-    return decisions_.count(scope) != 0;
-  }
   const ConcurrencyDecision* decision(const std::string& scope) const {
     auto it = decisions_.find(scope);
     return it == decisions_.end() ? nullptr : &it->second;
@@ -62,16 +55,9 @@ class KernelAnalyzer {
   const std::map<std::string, ConcurrencyDecision>& decisions() const {
     return decisions_;
   }
-  /// Drop all cached decisions (forces re-profiling).
-  void invalidate() { decisions_.clear(); }
-
-  /// Replace the analytical model (ablations, custom models).
-  void set_model(ModelFn model) { custom_model_ = std::move(model); }
-
-  const AnalyticalModel& model() const { return model_; }
   double total_analysis_ms() const { return total_analysis_ms_; }
 
-  /// Fresh analytical-model (or custom-model) solves actually run.
+  /// Fresh analytical-model solves actually run.
   std::size_t solver_calls() const { return solver_calls_; }
   /// Scopes answered by relabelling a memoized solve instead.
   std::size_t solve_cache_hits() const { return solve_cache_hits_; }
@@ -80,11 +66,10 @@ class KernelAnalyzer {
 
  private:
   AnalyticalModel model_;
-  ModelFn custom_model_;
   std::map<std::string, ConcurrencyDecision> decisions_;
-  /// Cross-scope solve memo: kernel-stat signature → solved decision.
-  /// Bypassed when a custom model is installed (it may be stateful or
-  /// scope-sensitive in ways the signature cannot capture).
+  /// Cross-scope solve memo: kernel-stat signature → solved decision. The
+  /// signature holds every input either objective reads (the T_K bits
+  /// included), and the objective is fixed for the analyzer's life.
   std::map<std::vector<std::uint64_t>, ConcurrencyDecision> solve_memo_;
   /// Joint-solve memo: framed member signatures → per-member decisions.
   std::map<std::vector<std::uint64_t>, std::vector<ConcurrencyDecision>>

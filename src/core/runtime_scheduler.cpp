@@ -271,7 +271,6 @@ void RuntimeScheduler::maybe_joint_decide(const ScopeProfile& profile) {
   }
   const std::vector<const ConcurrencyDecision*> joint =
       analyzer_->decide_joint(group);
-  if (joint.empty()) return;  // custom model: solo decisions stand
   ++dag_joint_groups_;
   // Charge the joint analysis to the simulated host clock like the solo
   // analysis above (pinned charge keeps deterministic timelines). The

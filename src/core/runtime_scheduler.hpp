@@ -33,8 +33,9 @@
 // Profiling scopes never stage, so the tracker sees every kernel.
 //
 // Options cover the ablations DESIGN.md lists: dispatch policy, a stream
-// cap, strict-repro pool rounding (bit-identical training), and a fixed
-// pool size that bypasses the model (the Fig. 2/4 manual baseline; every
+// cap, strict-repro pool rounding (bit-identical training), the analytical
+// model's objective (Eq. 3 or §6's duration weighting), and a fixed pool
+// size that bypasses the model (the Fig. 2/4 manual baseline; every
 // fixed-size pool in the repository runs on this scheduler).
 
 #include <map>
@@ -63,6 +64,10 @@ struct SchedulerOptions {
   /// Skip profiling/analysis and always use this many streams (manual
   /// baseline for Figs. 2 and 4; 0 = disabled).
   int fixed_streams = 0;
+  /// What the analytical model maximises: the paper's Eq. 3 (default) or
+  /// the §6 duration-weighted variant. Both keep the solve memo and the
+  /// DAG joint solves.
+  Objective objective = Objective::kThreads;
   /// One-time scope overhead charged to the simulated host clock after
   /// each profiling analysis. Negative (default) charges the *measured*
   /// wall time (T_p + T_a, the honest Table 6 accounting) — which makes

@@ -44,8 +44,10 @@ struct ConcurrencyDecision {
   std::string scope;
   int stream_count = 1;  ///< C_out (Eq. 9), clamped to [1, C]
   std::vector<KernelConcurrency> per_kernel;
-  double objective = 0.0;    ///< maximised τ_total (Eq. 3)
-  double occupancy = 0.0;    ///< OR_SM (Eq. 1) implied by the objective
+  /// The maximised objective: τ_total under Eq. 3, its duration-weighted
+  /// sum under §6 (see glp4nn::Objective).
+  double objective = 0.0;
+  double occupancy = 0.0;    ///< OR_SM (Eqs. 1–2) of the solved Σ τ_K·β_K·#K
   double analysis_ms = 0.0;  ///< wall time of this analysis (T_a)
   int milp_nodes = 0;
 };

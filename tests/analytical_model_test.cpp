@@ -18,6 +18,7 @@ using glp4nn::AnalyticalModel;
 using glp4nn::ConcurrencyDecision;
 using glp4nn::KernelAnalyzer;
 using glp4nn::KernelStats;
+using glp4nn::Objective;
 using glp4nn::ScopeProfile;
 
 KernelStats kernel(const std::string& name, unsigned blocks, unsigned threads,
@@ -224,7 +225,7 @@ TEST_P(ModelOptimality, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Random, ModelOptimality,
                          ::testing::Range<std::uint64_t>(0, 30));
 
-// --- duration-weighted alternative model -------------------------------------------
+// --- duration-weighted objective (paper §6) ----------------------------------------
 
 TEST(DurationWeighted, SatisfiesSameConstraints) {
   const auto props = gpusim::DeviceTable::p100();
@@ -232,21 +233,24 @@ TEST(DurationWeighted, SatisfiesSameConstraints) {
       kernel("long", 8, 256, 60.0),
       kernel("short", 4, 128, 2.0),
   };
-  const ConcurrencyDecision d =
-      glp4nn::analyze_duration_weighted(props, "s", kernels);
-  AnalyticalModel base(props);
+  const AnalyticalModel model(props, Objective::kDurationWeighted);
+  const ConcurrencyDecision d = model.analyze("s", kernels);
   double threads = 0;
   int total = 0;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
-    EXPECT_LE(d.per_kernel[i].count, base.upper_bound(kernels[i]));
+    EXPECT_LE(d.per_kernel[i].count, model.upper_bound(kernels[i]));
     threads += static_cast<double>(d.per_kernel[i].count) *
-               base.beta_per_sm(kernels[i]) *
+               model.beta_per_sm(kernels[i]) *
                kernels[i].config.threads_per_block();
     total += d.per_kernel[i].count;
   }
   EXPECT_LE(threads, props.max_threads_per_sm);
   EXPECT_GE(total, 1);
   EXPECT_EQ(d.stream_count, total);
+  // Eqs. 1–2 read the solved Σ τ_K·β_K·#K, not the weighted objective.
+  EXPECT_GT(d.occupancy, 0.0);
+  EXPECT_LE(d.occupancy, 1.0);
+  EXPECT_DOUBLE_EQ(d.occupancy, threads / props.max_threads_per_sm);
 }
 
 TEST(DurationWeighted, FavoursTheDominantKernel) {
@@ -258,14 +262,14 @@ TEST(DurationWeighted, FavoursTheDominantKernel) {
       kernel("short", 200, 512, 6.0),    // same footprint, short
   };
   const ConcurrencyDecision d =
-      glp4nn::analyze_duration_weighted(props, "s", kernels);
+      AnalyticalModel(props, Objective::kDurationWeighted).analyze("s", kernels);
   EXPECT_GE(d.per_kernel[0].count, d.per_kernel[1].count);
   EXPECT_GT(d.per_kernel[0].count, 0);
 }
 
 TEST(DurationWeighted, PluggableViaKernelAnalyzer) {
-  KernelAnalyzer analyzer(gpusim::DeviceTable::p100());
-  analyzer.set_model(glp4nn::analyze_duration_weighted);
+  KernelAnalyzer analyzer(gpusim::DeviceTable::p100(),
+                          Objective::kDurationWeighted);
   ScopeProfile profile;
   profile.scope = "s";
   profile.kernels = {kernel("a", 4, 128, 20.0)};
@@ -280,9 +284,9 @@ TEST(KernelAnalyzer, CachesDecisionsPerScope) {
   profile.scope = "conv1/fwd";
   profile.kernels = {kernel("a", 4, 128, 20.0)};
 
-  EXPECT_FALSE(analyzer.has_decision("conv1/fwd"));
+  EXPECT_EQ(analyzer.decision("conv1/fwd"), nullptr);
   const ConcurrencyDecision& d1 = analyzer.decide(profile);
-  EXPECT_TRUE(analyzer.has_decision("conv1/fwd"));
+  EXPECT_EQ(analyzer.decision("conv1/fwd"), &d1);
   const double t_a = analyzer.total_analysis_ms();
 
   const ConcurrencyDecision& d2 = analyzer.decide(profile);
@@ -290,29 +294,29 @@ TEST(KernelAnalyzer, CachesDecisionsPerScope) {
   EXPECT_EQ(analyzer.total_analysis_ms(), t_a);  // no re-analysis
 }
 
-TEST(KernelAnalyzer, InvalidateForcesReanalysis) {
-  KernelAnalyzer analyzer(gpusim::DeviceTable::p100());
-  ScopeProfile profile;
-  profile.scope = "s";
-  profile.kernels = {kernel("a", 4, 128, 20.0)};
-  analyzer.decide(profile);
-  analyzer.invalidate();
-  EXPECT_FALSE(analyzer.has_decision("s"));
-}
-
-TEST(KernelAnalyzer, CustomModelHookOverridesDefault) {
-  KernelAnalyzer analyzer(gpusim::DeviceTable::p100());
-  analyzer.set_model([](const gpusim::DeviceProps&, const std::string& scope,
-                        const std::vector<KernelStats>&) {
-    ConcurrencyDecision d;
-    d.scope = scope;
-    d.stream_count = 42;
-    return d;
-  });
-  ScopeProfile profile;
-  profile.scope = "s";
-  profile.kernels = {kernel("a", 4, 128, 20.0)};
-  EXPECT_EQ(analyzer.decide(profile).stream_count, 42);
+TEST(KernelAnalyzer, SolveMemoAnswersReplicatedScopeUnderBothObjectives) {
+  // A replicated layer (same kernels, same T_K bits, scope-relative
+  // names) is one solve and one memo hit, whichever objective the
+  // analyzer was built with.
+  for (const Objective objective :
+       {Objective::kThreads, Objective::kDurationWeighted}) {
+    KernelAnalyzer analyzer(gpusim::DeviceTable::p100(), objective);
+    ScopeProfile conv1, conv3;
+    conv1.scope = "conv1/fwd";
+    conv1.kernels = {kernel("conv1/fwd/im2col", 254, 512, 10.0),
+                     kernel("conv1/fwd/sgemm", 6, 256, 493.0)};
+    conv3.scope = "conv3/fwd";
+    conv3.kernels = {kernel("conv3/fwd/im2col", 254, 512, 10.0),
+                     kernel("conv3/fwd/sgemm", 6, 256, 493.0)};
+    const ConcurrencyDecision& d1 = analyzer.decide(conv1);
+    const ConcurrencyDecision& d3 = analyzer.decide(conv3);
+    EXPECT_EQ(analyzer.solver_calls(), 1u);
+    EXPECT_EQ(analyzer.solve_cache_hits(), 1u);
+    EXPECT_EQ(d3.stream_count, d1.stream_count);
+    EXPECT_EQ(d3.occupancy, d1.occupancy);
+    EXPECT_EQ(d3.per_kernel[1].name, "conv3/fwd/sgemm");
+    EXPECT_EQ(d3.per_kernel[1].count, d1.per_kernel[1].count);
+  }
 }
 
 TEST(KernelAnalyzer, DecisionsMapExposed) {

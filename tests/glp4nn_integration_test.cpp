@@ -112,28 +112,39 @@ TEST(ConvergenceInvariance, ForwardPassBitIdenticalAnyStreams) {
 
 TEST(ConvergenceInvariance, GoogLeNetDagBitIdenticalUnderBothEngines) {
   // Inter-operator DAG scheduling (branch overlap + fused elementwise
-  // chains) must leave training bit-identical to the serial baseline, on
-  // the optimized engine AND on ReferenceEngine (batch 8 ≤ 32 → the
-  // bit-exact branch of the contract applies unconditionally).
+  // chains, with the concurrent branches sized by joint analyzer solves)
+  // must leave training bit-identical to the serial baseline, on the
+  // optimized engine AND on ReferenceEngine, under either objective
+  // (batch 8 ≤ 32 → the bit-exact branch of the contract applies
+  // unconditionally).
   Env serial;
   std::vector<float> serial_losses;
   const auto serial_w = train_and_snapshot(
       serial.ec, mc::models::googlenet_tail(8), 3, &serial_losses);
 
-  for (const gpusim::EngineKind kind :
-       {gpusim::EngineKind::kOptimized, gpusim::EngineKind::kReference}) {
-    scuda::Context ctx(gpusim::DeviceTable::p100(), kind);
-    glp4nn::Glp4nnEngine engine{glp4nn::SchedulerOptions{}};
-    mc::ExecContext ec;
-    ec.ctx = &ctx;
-    ec.dispatcher = &engine.scheduler_for(ctx);
-    ec.dag_schedule = true;
-    std::vector<float> dag_losses;
-    const auto dag_w = train_and_snapshot(
-        ec, mc::models::googlenet_tail(8), 3, &dag_losses);
-    EXPECT_EQ(serial_losses, dag_losses)
-        << (kind == gpusim::EngineKind::kOptimized ? "optimized" : "reference");
-    EXPECT_EQ(glptest::max_abs_diff(serial_w, dag_w), 0.0);
+  for (const glp4nn::Objective objective :
+       {glp4nn::Objective::kThreads, glp4nn::Objective::kDurationWeighted}) {
+    for (const gpusim::EngineKind kind :
+         {gpusim::EngineKind::kOptimized, gpusim::EngineKind::kReference}) {
+      SCOPED_TRACE(objective == glp4nn::Objective::kThreads ? "Eq. 3"
+                                                             : "weighted");
+      SCOPED_TRACE(kind == gpusim::EngineKind::kOptimized ? "optimized"
+                                                           : "reference");
+      scuda::Context ctx(gpusim::DeviceTable::p100(), kind);
+      glp4nn::SchedulerOptions options;
+      options.objective = objective;
+      glp4nn::Glp4nnEngine engine(options);
+      mc::ExecContext ec;
+      ec.ctx = &ctx;
+      ec.dispatcher = &engine.scheduler_for(ctx);
+      ec.dag_schedule = true;
+      std::vector<float> dag_losses;
+      const auto dag_w = train_and_snapshot(
+          ec, mc::models::googlenet_tail(8), 3, &dag_losses);
+      EXPECT_EQ(serial_losses, dag_losses);
+      EXPECT_EQ(glptest::max_abs_diff(serial_w, dag_w), 0.0);
+      EXPECT_GT(engine.scheduler_for(ctx).dag_joint_groups(), 0u);
+    }
   }
 }
 

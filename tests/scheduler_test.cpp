@@ -119,7 +119,7 @@ TEST_F(SchedulerTest, FixedStreamsBypassesProfiling) {
   s.end_scope();
   EXPECT_EQ(s.stream_count("never/profiled"), 4);
   // No analyzer decision was created.
-  EXPECT_FALSE(engine->analyzer_for(ctx)->has_decision("never/profiled"));
+  EXPECT_EQ(engine->analyzer_for(ctx)->decision("never/profiled"), nullptr);
 }
 
 TEST_F(SchedulerTest, RejectsNegativeFixedPool) {
@@ -506,27 +506,34 @@ TEST_F(SchedulerTest, BindingsMustNotNest) {
 TEST_F(SchedulerTest, BoundConcurrentScopesSolveJointly) {
   // A scope profiled under a binding that names concurrent scopes waits
   // for its whole group to profile; then the analyzer sizes the group's
-  // pools in one joint solve. Bindings without concurrent scopes, and
-  // unbound scopes, keep solo decisions.
-  RuntimeScheduler& s = scheduler();
-  const auto run_bound = [&](const std::string& scope,
-                             std::vector<std::string> concurrent) {
-    kern::DagOpBinding op;
-    op.concurrent_scopes = std::move(concurrent);
-    s.bind_dag_op(op);
-    run_scope(s, scope, 8);
-    s.clear_dag_op();
-  };
-  run_bound("a", {});
-  run_scope(s, "solo", 8);
-  EXPECT_EQ(s.dag_joint_groups(), 0u);
-  EXPECT_EQ(s.analyzer().joint_solves(), 0u);
+  // pools in one joint solve, under either objective. Bindings without
+  // concurrent scopes, and unbound scopes, keep solo decisions.
+  for (const glp4nn::Objective objective :
+       {glp4nn::Objective::kThreads, glp4nn::Objective::kDurationWeighted}) {
+    SCOPED_TRACE(objective == glp4nn::Objective::kThreads ? "Eq. 3"
+                                                           : "weighted");
+    SchedulerOptions opt;
+    opt.objective = objective;
+    RuntimeScheduler& s = scheduler(opt);
+    const auto run_bound = [&](const std::string& scope,
+                               std::vector<std::string> concurrent) {
+      kern::DagOpBinding op;
+      op.concurrent_scopes = std::move(concurrent);
+      s.bind_dag_op(op);
+      run_scope(s, scope, 8);
+      s.clear_dag_op();
+    };
+    run_bound("a", {});
+    run_scope(s, "solo", 8);
+    EXPECT_EQ(s.dag_joint_groups(), 0u);
+    EXPECT_EQ(s.analyzer().joint_solves(), 0u);
 
-  run_bound("b", {"c"});
-  EXPECT_EQ(s.dag_joint_groups(), 0u);  // "c" has not profiled yet
-  run_bound("c", {"b"});
-  EXPECT_EQ(s.dag_joint_groups(), 1u);
-  EXPECT_EQ(s.analyzer().joint_solves(), 1u);
+    run_bound("b", {"c"});
+    EXPECT_EQ(s.dag_joint_groups(), 0u);  // "c" has not profiled yet
+    run_bound("c", {"b"});
+    EXPECT_EQ(s.dag_joint_groups(), 1u);
+    EXPECT_EQ(s.analyzer().joint_solves(), 1u);
+  }
 }
 
 TEST_F(SchedulerTest, PlanDagRejectsForwardAndUnknownDeps) {

@@ -197,7 +197,8 @@ int main(int argc, char** argv) {
         if (timing_only) {
           std::printf("iter %4d\n", iter);
         } else {
-          std::printf("iter %4d  loss %.4f\n", iter, loss);
+          // %.9g round-trips every float, so two runs compare bit for bit.
+          std::printf("iter %4d  loss %.9g\n", iter, loss);
         }
       }
     };
