@@ -50,12 +50,15 @@ FleetTrainer::FleetTrainer(scuda::Fleet& fleet,
   }
 
   plan_ = plan_buckets(*nets_.front(), options_.bucket_bytes);
-  flat_.resize(plan_.buckets.size());
-  for (std::size_t b = 0; b < plan_.buckets.size(); ++b) {
-    flat_[b].assign(static_cast<std::size_t>(n),
-                    std::vector<float>(plan_.buckets[b].count, 0.0f));
-  }
   next_bucket_.assign(static_cast<std::size_t>(n), 0);
+}
+
+std::size_t FleetTrainer::staging_bytes() const {
+  std::size_t floats = 0;
+  for (const auto& bucket : flat_) {
+    for (const std::vector<float>& flat : bucket) floats += flat.capacity();
+  }
+  return floats * sizeof(float);
 }
 
 void FleetTrainer::record_bucket_ready(int device, std::size_t bucket) {
@@ -88,6 +91,14 @@ void FleetTrainer::train_one_iteration() {
   ready_events_.assign(nb * static_cast<std::size_t>(n), 0);
   std::fill(next_bucket_.begin(), next_bucket_.end(), 0);
 
+  if (numeric && flat_.size() != nb) {
+    flat_.resize(nb);
+    for (std::size_t b = 0; b < nb; ++b) {
+      flat_[b].assign(static_cast<std::size_t>(n),
+                      std::vector<float>(plan_.buckets[b].count));
+    }
+  }
+
   for (int d = 0; d < n; ++d) nets_[static_cast<std::size_t>(d)]->zero_param_diffs();
   for (int d = 0; d < n; ++d) nets_[static_cast<std::size_t>(d)]->forward();
   for (int d = 0; d < n; ++d) nets_[static_cast<std::size_t>(d)]->backward();
@@ -116,16 +127,15 @@ void FleetTrainer::train_one_iteration() {
       ready_ns[static_cast<std::size_t>(d)] = advance_until_event(
           dev, ready_events_[b * static_cast<std::size_t>(n) +
                              static_cast<std::size_t>(d)]);
+      if (!numeric) continue;
       std::vector<float>& flat = flat_[b][static_cast<std::size_t>(d)];
-      if (numeric) {
-        std::size_t off = 0;
-        for (const std::size_t pi : bucket.params) {
-          const mc::Blob& p = *net.learnable_params()[pi];
-          std::memcpy(flat.data() + off, p.diff(), p.count() * sizeof(float));
-          off += p.count();
-        }
-        GLP_CHECK(off == bucket.count);
+      std::size_t off = 0;
+      for (const std::size_t pi : bucket.params) {
+        const mc::Blob& p = *net.learnable_params()[pi];
+        std::memcpy(flat.data() + off, p.diff(), p.count() * sizeof(float));
+        off += p.count();
       }
+      GLP_CHECK(off == bucket.count);
       flat_ptrs[static_cast<std::size_t>(d)] = flat.data();
     }
 

@@ -70,6 +70,9 @@ class FleetTrainer {
   }
   const BucketPlan& plan() const { return plan_; }
   CollectiveEngine& collectives() { return collectives_; }
+  /// Host bytes of gradient staging held (zero until the first numeric
+  /// iteration).
+  std::size_t staging_bytes() const;
 
  private:
   struct UnpackJob {
@@ -90,7 +93,10 @@ class FleetTrainer {
   BucketPlan plan_;
   CollectiveEngine collectives_;
 
-  /// flat_[b][d]: device d's packed gradient for bucket b.
+  /// flat_[b][d]: device d's packed gradient for bucket b. Sized on the
+  /// first numeric iteration, whose pack overwrites all of it, as every
+  /// later one does; a timing-only fleet holds none (the collective
+  /// engine then never dereferences the buffers).
   std::vector<std::vector<std::vector<float>>> flat_;
   /// ready_events_[b * N + d]: bucket-ready event on d's default stream.
   std::vector<gpusim::EventId> ready_events_;

@@ -11,8 +11,9 @@ void DataLayer::setup(const std::vector<Blob*>& bottom,
   GLP_REQUIRE(top.size() == expected_tops,
               "Data layer expects " << expected_tops << " tops");
 
-  dataset_ = std::make_unique<SyntheticDataset>(p.dataset, /*seed=*/0xDA7A5E7ULL);
   const DatasetSpec& d = p.dataset;
+  GLP_REQUIRE(d.num_classes > 0 && d.train_size > 0,
+              "dataset must have classes and samples");
   top[0]->reshape({p.batch_size, d.channels, d.height, d.width});
   if (p.pair_data) {
     top[1]->reshape({p.batch_size, d.channels, d.height, d.width});
@@ -45,6 +46,9 @@ void DataLayer::forward(const std::vector<Blob*>& bottom,
     return;
   }
 
+  if (!dataset_) {
+    dataset_ = std::make_unique<SyntheticDataset>(p.dataset, /*seed=*/0xDA7A5E7ULL);
+  }
   staging_images_.resize(top[0]->count());
   if (p.pair_data) staging_images_p_.resize(top[0]->count());
   staging_labels_.resize(static_cast<std::size_t>(batch));

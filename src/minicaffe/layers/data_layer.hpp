@@ -3,8 +3,10 @@
 // uploads it with simulated H2D copies (so iteration timelines include
 // the input transfer, as a real Caffe data layer's prefetch would). In
 // timing-only mode it issues the same copies (bytes, stream, simulated
-// span) with nothing behind them: no batch is generated, no staging is
-// held and no byte moves.
+// span) with nothing behind them: no dataset is built, no batch is
+// generated, no staging is held and no byte moves. The dataset is built
+// on the first numeric forward; it draws only from its own fixed seed,
+// never from the ExecContext RNG, so when it is built moves no sample.
 //
 // Regular mode tops: (data [N,C,H,W], label [N]).
 // Pair mode (Siamese): (data, data_p, similarity [N]) where ~50% of the
@@ -33,7 +35,8 @@ class DataLayer final : public Layer {
             staging_labels_.capacity()) *
            sizeof(float);
   }
-  const SyntheticDataset& dataset() const { return *dataset_; }
+  /// The synthetic dataset, or null until the first numeric forward.
+  const SyntheticDataset* dataset() const { return dataset_.get(); }
 
   /// Data-parallel sharding: this replica reads batches starting at
   /// sample `offset`, advancing the cursor by `stride` (= fleet size ×

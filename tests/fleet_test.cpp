@@ -7,8 +7,9 @@
 // time — identically on both engines), multi-device data-parallel
 // training held bit-identical to the single-device reference (both
 // engines, both link kinds, with and without overlap, clean and under
-// injected faults), and replica-group routing in the sharded fleet
-// server (placement containment, determinism, health-aware failover).
+// injected faults), timing-only replicas holding no host numerics, and
+// replica-group routing in the sharded fleet server (placement
+// containment, determinism, health-aware failover).
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,11 @@
 #include <map>
 #include <set>
 
+#include "comm/data_parallel.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/interconnect.hpp"
+#include "minicaffe/layers/data_layer.hpp"
+#include "minicaffe/models.hpp"
 #include "serving/fleet_server.hpp"
 #include "serving/model_zoo.hpp"
 #include "serving/trace_gen.hpp"
@@ -323,6 +327,51 @@ TEST(FleetTraining, BitExactUnderInjectedFaults) {
   opts.faults.seed = seed;
   const auto r = glpfuzz::run_differential(c, opts);
   EXPECT_TRUE(r.ok) << r.failure;
+}
+
+// Timing-only replicas hold no host numerics: no gradient staging and no
+// synthetic dataset. A numeric fleet stages every bucket on every device.
+TEST(FleetTraining, TimingOnlyHoldsNoGradientStaging) {
+  constexpr int kDevices = 2;
+  for (const kern::ComputeMode mode :
+       {kern::ComputeMode::kTimingOnly, kern::ComputeMode::kNumeric}) {
+    const bool numeric = mode == kern::ComputeMode::kNumeric;
+    SCOPED_TRACE(numeric ? "numeric" : "timing-only");
+    scuda::Fleet fleet = scuda::Fleet::homogeneous(
+        kDevices, gpusim::DeviceTable::p100(), scuda::FleetOptions{});
+    std::vector<std::unique_ptr<kern::SerialDispatcher>> dispatchers;
+    std::vector<mc::ExecContext> ecs(kDevices);
+    std::vector<mc::ExecContext*> ec_ptrs;
+    for (int d = 0; d < kDevices; ++d) {
+      dispatchers.push_back(
+          std::make_unique<kern::SerialDispatcher>(fleet.device(d)));
+      mc::ExecContext& ec = ecs[static_cast<std::size_t>(d)];
+      ec.ctx = &fleet.device(d);
+      ec.dispatcher = dispatchers.back().get();
+      ec.mode = mode;
+      ec_ptrs.push_back(&ec);
+    }
+    comm::FleetTrainerOptions opts;
+    opts.bucket_bytes = 256 << 10;
+    comm::FleetTrainer trainer(fleet, ec_ptrs, mc::models::lenet(4), opts);
+    trainer.step(2);
+    fleet.synchronize_all();
+
+    std::size_t floats = 0;
+    for (const comm::Bucket& b : trainer.plan().buckets) floats += b.count;
+    ASSERT_GT(trainer.plan().buckets.size(), 1u);
+    EXPECT_EQ(trainer.staging_bytes(),
+              numeric ? kDevices * floats * sizeof(float) : 0u);
+    for (int d = 0; d < kDevices; ++d) {
+      const mc::DataLayer* data = nullptr;
+      for (const auto& layer : trainer.net(d).layers()) {
+        data = dynamic_cast<const mc::DataLayer*>(layer.get());
+        if (data != nullptr) break;
+      }
+      ASSERT_NE(data, nullptr);
+      EXPECT_EQ(data->dataset() != nullptr, numeric) << "device " << d;
+    }
+  }
 }
 
 // --- sharded serving -------------------------------------------------------

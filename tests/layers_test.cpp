@@ -722,8 +722,27 @@ TEST_F(LayerTest, RegistryContainsAllPaperLayers) {
 // --- Data / Input: timing-only uploads -----------------------------------------
 //
 // Timing-only forwards issue the numeric forward's copies (bytes, stream,
-// simulated span) with no staging behind them. Each mode runs on a fresh
-// device, so equal records mean the copies are the same ops.
+// simulated span) with no staging and no dataset behind them. Each mode
+// runs on a fresh device, so equal records mean the copies are the same
+// ops.
+
+/// A timing-only DataLayer never builds its dataset; a numeric one builds
+/// the dataset its fixed seed makes.
+void expect_dataset(const mc::DataLayer& data, kern::ComputeMode mode) {
+  if (mode == kern::ComputeMode::kTimingOnly) {
+    EXPECT_EQ(data.dataset(), nullptr);
+    return;
+  }
+  ASSERT_NE(data.dataset(), nullptr);
+  const mc::DatasetSpec& spec = data.spec().params.dataset;
+  const mc::SyntheticDataset fresh(spec, 0xDA7A5E7);
+  std::vector<float> got(spec.sample_size()), want(spec.sample_size());
+  for (const std::uint64_t index : {0ULL, 1ULL, 4321ULL}) {
+    data.dataset()->fill_sample(index, got.data());
+    fresh.fill_sample(index, want.data());
+    EXPECT_EQ(got, want) << "sample " << index;
+  }
+}
 
 std::vector<gpusim::CopyRecord> upload_records(kern::ComputeMode mode,
                                                const LayerSpec& spec,
@@ -751,6 +770,7 @@ std::vector<gpusim::CopyRecord> upload_records(kern::ComputeMode mode,
   env.sync();
   if (auto* data = dynamic_cast<mc::DataLayer*>(layer.get())) {
     *staging_bytes = data->staging_bytes();
+    expect_dataset(*data, mode);
   } else {
     *staging_bytes = dynamic_cast<mc::InputLayer*>(layer.get())->staging_count() *
                      sizeof(float);

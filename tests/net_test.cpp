@@ -339,4 +339,27 @@ TEST(NetParser, CustomDatasetDimensions) {
   EXPECT_EQ(s.layers[0].params.dataset.height, 7);
 }
 
+// The data layer builds its dataset on the first numeric forward, so a
+// dataset that could never be built must be rejected when the net is,
+// in timing-only mode too.
+TEST(NetParser, RejectsDatasetWithoutClasses) {
+  const NetSpec s = mc::parse_net_text(R"(
+    layer {
+      name: "data" type: "Data" top: "data" top: "label"
+      dataset: "empty" dataset_classes: 0 batch_size: 4
+    }
+    layer {
+      name: "ip" type: "InnerProduct" bottom: "data" top: "ip"
+      num_output: 10
+    }
+    layer {
+      name: "loss" type: "SoftmaxWithLoss"
+      bottom: "ip" bottom: "label" top: "loss"
+    }
+  )");
+  ASSERT_EQ(s.layers[0].params.dataset.num_classes, 0);
+  Env env(gpusim::DeviceTable::p100(), kern::ComputeMode::kTimingOnly);
+  EXPECT_THROW(Net(s, env.ec), glp::InvalidArgument);
+}
+
 }  // namespace
