@@ -83,13 +83,11 @@ TrainRecord train_point(const mc::NetSpec& spec, int batch, int devices,
   scuda::Fleet fleet =
       scuda::Fleet::homogeneous(devices, gpusim::DeviceTable::p100(), fopts);
 
-  glp4nn::SchedulerOptions sopts;
-  sopts.overhead_charge_ms = 0.05;  // pinned => deterministic timelines
   std::vector<std::unique_ptr<glp4nn::Glp4nnEngine>> engines;
   std::vector<std::unique_ptr<mc::ExecContext>> ecs;
   std::vector<mc::ExecContext*> ec_ptrs;
   for (int d = 0; d < devices; ++d) {
-    engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>(sopts));
+    engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>());
     auto ec = std::make_unique<mc::ExecContext>();
     ec->ctx = &fleet.device(d);
     ec->dispatcher = &engines.back()->scheduler_for(fleet.device(d));
@@ -175,7 +173,6 @@ ServeRecord serve_point(int devices, int replicas, double rate, int requests) {
       scuda::Fleet::homogeneous(devices, gpusim::DeviceTable::p100(), {});
   serving::FleetServerOptions fo;
   fo.server.use_scheduler = true;
-  fo.server.scheduler.overhead_charge_ms = 0.05;
   fo.server.batch.max_batch = 64;
   fo.server.queue_capacity = 512;
   fo.server.coalesce_lanes = true;

@@ -93,10 +93,13 @@ const ConcurrencyDecision& KernelAnalyzer::decide(const ScopeProfile& profile) {
   return inserted->second;
 }
 
-std::vector<const ConcurrencyDecision*> KernelAnalyzer::decide_joint(
+void KernelAnalyzer::decide_joint(
     const std::vector<const ScopeProfile*>& group) {
   GLP_REQUIRE(!group.empty(), "cannot jointly analyze an empty group");
-  if (group.size() == 1) return {&decide(*group[0])};
+  if (group.size() == 1) {
+    decide(*group[0]);
+    return;
+  }
   for (const ScopeProfile* p : group) {
     GLP_REQUIRE(p != nullptr && !p->kernels.empty(),
                 "joint analysis needs a non-empty profile per member");
@@ -157,7 +160,6 @@ std::vector<const ConcurrencyDecision*> KernelAnalyzer::decide_joint(
   // (Re)label with this group's concrete names and overwrite the cached
   // per-scope decisions — subsequent begin_scope calls use the joint
   // pool sizes.
-  std::vector<const ConcurrencyDecision*> out;
   for (std::size_t m = 0; m < group.size(); ++m) {
     ConcurrencyDecision& d = decisions[m];
     d.scope = group[m]->scope;
@@ -167,9 +169,7 @@ std::vector<const ConcurrencyDecision*> KernelAnalyzer::decide_joint(
     }
     total_analysis_ms_ += d.analysis_ms;
     decisions_[d.scope] = std::move(d);
-    out.push_back(&decisions_[group[m]->scope]);
   }
-  return out;
 }
 
 }  // namespace glp4nn

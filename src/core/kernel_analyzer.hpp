@@ -40,10 +40,8 @@ class KernelAnalyzer {
   /// is *overwritten* with the joint one (later begin_scope calls pick it
   /// up). Joint solves are memoized by the concatenation of the members'
   /// solve signatures. Requires ≥ 1 member; with exactly one member this
-  /// degenerates to decide(). Returns the per-member joint decisions in
-  /// input order.
-  std::vector<const ConcurrencyDecision*> decide_joint(
-      const std::vector<const ScopeProfile*>& group);
+  /// degenerates to decide().
+  void decide_joint(const std::vector<const ScopeProfile*>& group);
 
   /// Joint concurrent-set solves actually run (fresh or memoized).
   std::size_t joint_solves() const { return joint_solves_; }

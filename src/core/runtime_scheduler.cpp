@@ -44,8 +44,9 @@ RuntimeScheduler::RuntimeScheduler(scuda::Context& ctx, ResourceTracker& tracker
       analyzer_(&analyzer),
       streams_(&streams),
       options_(options) {
-  GLP_REQUIRE(options_.max_streams >= 0 && options_.fixed_streams >= 0,
-              "stream limits must be non-negative");
+  GLP_REQUIRE(options_.max_streams >= 0 && options_.fixed_streams >= 0 &&
+                  options_.overhead_charge_ms >= 0.0,
+              "stream limits and the overhead charge must be non-negative");
 }
 
 int RuntimeScheduler::clamp_streams(int requested) const {
@@ -191,15 +192,10 @@ void RuntimeScheduler::end_scope() {
     const ScopeProfile profile =
         tracker_->end_profiling(*ctx_, current_scope_);
     if (!profile.kernels.empty()) {
-      const ConcurrencyDecision& decision = analyzer_->decide(profile);
+      analyzer_->decide(profile);
       // Charge the one-time overhead to the simulated host clock so
-      // end-to-end timings include it (Table 6). A non-negative option
-      // pins the charge for deterministic-timeline runs.
-      const double charge_ms =
-          options_.overhead_charge_ms >= 0.0
-              ? options_.overhead_charge_ms
-              : profile.profiling_ms + decision.analysis_ms;
-      ctx_->device().host_advance(charge_ms * gpusim::kMs);
+      // end-to-end timings include it (Table 6).
+      ctx_->device().host_advance(options_.overhead_charge_ms * gpusim::kMs);
       if (!binding_.concurrent_scopes.empty()) maybe_joint_decide(profile);
     } else if (current_tasks_ > 0) {
       // The scope ran tasks but the capture came back empty (profiler
@@ -269,16 +265,11 @@ void RuntimeScheduler::maybe_joint_decide(const ScopeProfile& profile) {
     if (it == dag_profiles_.end()) return;  // a member has not profiled yet
     group.push_back(&it->second);
   }
-  const std::vector<const ConcurrencyDecision*> joint =
-      analyzer_->decide_joint(group);
+  analyzer_->decide_joint(group);
   ++dag_joint_groups_;
   // Charge the joint analysis to the simulated host clock like the solo
-  // analysis above (pinned charge keeps deterministic timelines). The
-  // whole-solve cost lives on the group's first member.
-  const double charge_ms = options_.overhead_charge_ms >= 0.0
-                               ? options_.overhead_charge_ms
-                               : joint.front()->analysis_ms;
-  ctx_->device().host_advance(charge_ms * gpusim::kMs);
+  // analysis above.
+  ctx_->device().host_advance(options_.overhead_charge_ms * gpusim::kMs);
 }
 
 std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(

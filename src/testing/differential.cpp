@@ -68,16 +68,6 @@ void arm_faults(scuda::Context& ctx, scuda::FaultConfig faults,
   ctx.faults().arm(faults);
 }
 
-/// The engine contract pins the per-scope profiling/analysis charge: the
-/// default charges *measured* wall time to the simulated host clock,
-/// which would make the twins' timelines differ for reasons unrelated to
-/// the engines.
-glp4nn::SchedulerOptions scheduler_options(glp4nn::SchedulerOptions options,
-                                           const DiffOptions& o) {
-  if (o.contract == Contract::kEngine) options.overhead_charge_ms = 0.05;
-  return options;
-}
-
 gpusim::LinkProps link_props(gpusim::LinkTopology topology) {
   return topology == gpusim::LinkTopology::kNvlinkRing
              ? gpusim::LinkProps::nvlink()
@@ -217,7 +207,7 @@ Output train(const FuzzCase& c, const DiffOptions& o, Dispatch how,
   tl.set_enabled(subject != nullptr || engine_contract);
 
   kern::SerialDispatcher serial(ctx);
-  glp4nn::Glp4nnEngine glp(scheduler_options(c.options, o));
+  glp4nn::Glp4nnEngine glp(c.options);
   mc::ExecContext ec;
   ec.ctx = &ctx;
   ec.dispatcher = how == Dispatch::kSerial
@@ -296,7 +286,6 @@ Output train_fleet(const FuzzCase& c, const DiffOptions& o,
   fopts.engine = engine;
   scuda::Fleet fleet = scuda::Fleet::homogeneous(o.devices, c.device, fopts);
 
-  const glp4nn::SchedulerOptions options = scheduler_options(c.options, o);
   std::vector<std::unique_ptr<glp4nn::Glp4nnEngine>> engines;
   std::vector<mc::ExecContext> ecs(static_cast<std::size_t>(o.devices));
   std::vector<mc::ExecContext*> ec_ptrs;
@@ -304,7 +293,7 @@ Output train_fleet(const FuzzCase& c, const DiffOptions& o,
     scuda::Context& ctx = fleet.device(d);
     arm_faults(ctx, o.faults, c.seed + static_cast<std::uint64_t>(d) + 1);
     ctx.device().timeline().set_enabled(subject != nullptr || engine_contract);
-    engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>(options));
+    engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>(c.options));
     mc::ExecContext& ec = ecs[static_cast<std::size_t>(d)];
     ec.ctx = &ctx;
     ec.dispatcher = &engines.back()->scheduler_for(ctx);
@@ -480,7 +469,6 @@ Output serve(const ServeCase& c, const DiffOptions& o, bool scheduled,
   opts.use_scheduler = scheduled;
   opts.coalesce_lanes = scheduled && c.coalesce;
   opts.record_timeline = subject != nullptr || engine_contract;
-  if (scheduled) opts.scheduler = scheduler_options(opts.scheduler, o);
   scuda::Context ctx(c.device, engine);
   if (scheduled) arm_faults(ctx, o.faults, c.seed);
   serving::InferenceServer server(ctx, models, opts);

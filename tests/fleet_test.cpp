@@ -437,11 +437,6 @@ TEST(FleetServer, IdenticalInputsRouteIdentically) {
         scuda::Fleet::homogeneous(3, gpusim::DeviceTable::p100());
     serving::FleetServerOptions opts;
     opts.replicas = 2;
-    // Routing tie-breaks consult warmed service estimates, which include
-    // the scheduler's one-time overhead charge; pin it so the two
-    // instances warm bit-identical estimates (the default charges
-    // *measured* wall time).
-    opts.server.scheduler.overhead_charge_ms = 0.05;
     serving::FleetServer server(fleet, fleet_tenants(), opts);
     server.replay(trace);
     routes.push_back(server.last_routes());

@@ -124,10 +124,11 @@ TEST(ConvergenceInvariance, GoogLeNetDagBitIdenticalUnderBothEngines) {
 
   for (const glp4nn::Objective objective :
        {glp4nn::Objective::kThreads, glp4nn::Objective::kDurationWeighted}) {
+    SCOPED_TRACE(objective == glp4nn::Objective::kThreads ? "Eq. 3"
+                                                           : "weighted");
+    std::vector<std::pair<double, double>> clocks;  // (host, device) ns
     for (const gpusim::EngineKind kind :
          {gpusim::EngineKind::kOptimized, gpusim::EngineKind::kReference}) {
-      SCOPED_TRACE(objective == glp4nn::Objective::kThreads ? "Eq. 3"
-                                                             : "weighted");
       SCOPED_TRACE(kind == gpusim::EngineKind::kOptimized ? "optimized"
                                                            : "reference");
       scuda::Context ctx(gpusim::DeviceTable::p100(), kind);
@@ -144,16 +145,21 @@ TEST(ConvergenceInvariance, GoogLeNetDagBitIdenticalUnderBothEngines) {
       EXPECT_EQ(serial_losses, dag_losses);
       EXPECT_EQ(glptest::max_abs_diff(serial_w, dag_w), 0.0);
       EXPECT_GT(engine.scheduler_for(ctx).dag_joint_groups(), 0u);
+      clocks.emplace_back(ctx.device().host_now(), ctx.device().device_now());
     }
+    // Both engines end on the same clocks, joint-solve charges included.
+    EXPECT_EQ(clocks[0], clocks[1]);
   }
 }
 
 TEST(Determinism, Glp4nnRunsAreRepeatable) {
+  // Same losses and the same simulated clocks: no wall time reaches them.
   auto run = [] {
     GlpEnv glp;
     std::vector<float> losses;
     train_and_snapshot(glp.ec, mc::models::lenet(16), 4, &losses);
-    return losses;
+    return std::make_tuple(losses, glp.ctx.device().host_now(),
+                           glp.ctx.device().device_now());
   };
   EXPECT_EQ(run(), run());
 }
